@@ -1,10 +1,17 @@
 """Command-line front end.
 
-Every run validates its inputs, computes, and only then writes its data file
-plus a JSON run-manifest (config echo, versions, seeds, timing) next to it,
-so a failed run leaves nothing behind.  Numeric text output carries 12
-significant digits, and reruns with identical configuration produce
-byte-identical data files.
+Each subcommand is a compute function that validates its inputs and returns
+its results; one runner writes them and a JSON run-manifest (config echo,
+versions, seeds, timing, output paths), then prints ``<summary>; wrote <out>``
+(generate: ``<n> weights on [<first>, <last>]; wrote <out>``).  Nothing is
+written before the compute succeeds; if any write fails, the runner removes
+every file at the run's output paths, so a failed run leaves nothing behind.
+Numeric text output carries 12 significant digits, and reruns with identical
+configuration produce byte-identical data files.
+
+A model argument is a bare model name, an inline JSON object, or a path to a
+JSON file; w and p must be JSON numbers and pattern a list of numbers.
+Lattice indices must satisfy |n| < 2**62.
 
 Exit codes: 0 success, 2 validation or resource error, 1 internal error.
 The comparison commands (verify-rs, homometry) exit 1 when their check fails.
@@ -17,6 +24,7 @@ import json
 import sys
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,228 +84,160 @@ def _parse_size_list(text: str) -> list[int]:
     return sizes
 
 
-def _write_manifest(args, command: str, outputs: list[Path], seeds, started: float) -> None:
-    config = {}
-    for key, value in sorted(vars(args).items()):
-        if key in ("func", "out"):
-            continue
-        config[key] = str(value) if isinstance(value, Path) else value
-    manifest = {
-        "schema_version": 1,
-        "command": command,
-        "config": config,
-        "package_version": __version__,
-        "numpy_version": np.__version__,
-        "seeds": list(seeds) if seeds is not None else None,
-        "timing_seconds": round(time.perf_counter() - started, 6),
-        "outputs": [str(path) for path in outputs],
-    }
-    stem = outputs[0]
-    write_json(stem.with_name(stem.stem + ".manifest.json"), manifest)
+def _seeds_read(specs, ensemble=None) -> list[int] | None:
+    """Seeds of the random streams a run read: the ensemble when a stochastic model
+    was averaged over it, else those of the stochastic models it generated, else None."""
+    if ensemble is not None and any(spec.is_stochastic for spec in specs):
+        return list(ensemble)
+    return [spec.seed for spec in specs if spec.seed is not None] or None
 
 
-# ── Handlers ────────────────────────────────────────────────────────────────
+def _autocorrelation(spec: ModelSpec, analytic: bool, N: int, M: int):
+    return analytic_autocorrelation(spec, M) if analytic else empirical_autocorrelation(spec, N, M)
 
-def _cmd_generate(args) -> int:
-    started = time.perf_counter()
-    spec = _load_model(args.model)
+
+class _Outcome(NamedTuple):
+    """A compute function's results for the runner.  outputs maps a file-name
+    infix ("" for --out itself, ".bins" for <stem>.bins<suffix>) to a table,
+    written by its to_csv, or to a JSON report (a dict)."""
+
+    outputs: dict
+    summary: str
+    seeds: list[int] | None = None
+    passed: bool = True
+
+
+# ── Compute functions ──────────────────────────────────────────────────────
+
+def _generate(args, spec: ModelSpec) -> _Outcome:
     window = generate_window(spec, args.first, args.last)
-    out = Path(args.out)
-    window.to_csv(out, args.format)
-    _write_manifest(args, "generate", [out], _model_seeds(spec), started)
-    print(f"wrote {len(window)} weights on [{window.first}, {window.last}] to {out}")
-    return 0
+    summary = f"{len(window)} weights on [{window.first}, {window.last}]"
+    return _Outcome({"": window}, summary, _seeds_read([spec]))
 
 
-def _model_seeds(*specs: ModelSpec):
-    seeds = [spec.seed for spec in specs if spec.seed is not None]
-    return seeds or None
-
-
-def _cmd_autocorr(args) -> int:
-    started = time.perf_counter()
-    spec = _load_model(args.model)
-    if args.analytic:
-        result = analytic_autocorrelation(spec, args.M)
-    else:
-        result = empirical_autocorrelation(spec, args.N, args.M)
-    out = Path(args.out)
-    result.to_csv(out, args.format)
-    _write_manifest(args, "autocorr", [out], _model_seeds(spec), started)
+def _autocorr(args, spec: ModelSpec) -> _Outcome:
+    result = _autocorrelation(spec, args.analytic, args.N, args.M)
     tail = float(np.max(np.abs(result.eta[result.max_lag + 1 :]))) if args.M > 0 else 0.0
-    print(f"eta(0) = {fmt(result.value(0))}, max |eta(m != 0)| = {fmt(tail)}; wrote {out}")
-    return 0
+    summary = f"eta(0) = {fmt(result.value(0))}, max |eta(m != 0)| = {fmt(tail)}"
+    return _Outcome({"": result}, summary, _seeds_read([] if args.analytic else [spec]))
 
 
-def _cmd_diffract(args) -> int:
-    started = time.perf_counter()
-    spec = _load_model(args.model)
+def _diffract(args, spec: ModelSpec) -> _Outcome:
     pg = periodogram(spec, args.N, args.G)
-    binned = binned_measure(pg, args.bins) if args.bins is not None else None
-    out = Path(args.out)
-    outputs = [out]
-    pg.to_csv(out, args.format)
-    if binned is not None:
-        binned_path = out.with_name(out.stem + ".bins" + out.suffix)
-        binned.to_csv(binned_path, args.format)
-        outputs.append(binned_path)
-    _write_manifest(args, "diffract", outputs, _model_seeds(spec), started)
-    print(
-        f"grid mean intensity = {fmt(pg.grid_mean())},"
-        f" sup = {fmt(float(pg.intensities.max()))}; wrote {out}"
-    )
-    return 0
+    outputs = {"": pg}
+    if args.bins is not None:
+        outputs[".bins"] = binned_measure(pg, args.bins)
+    summary = f"grid mean intensity = {fmt(pg.grid_mean())}, sup = {fmt(pg.intensities.max())}"
+    return _Outcome(outputs, summary, _seeds_read([spec]))
 
 
-def _cmd_bragg(args) -> int:
-    started = time.perf_counter()
-    spec = _load_model(args.model)
+def _bragg(args, spec: ModelSpec) -> _Outcome:
     seeds = _parse_seeds(args.seeds)
     estimate = bragg_weight(spec, args.k0, _parse_size_list(args.N_list), seeds)
-    out = Path(args.out)
-    write_json(out, estimate.to_json())
-    _write_manifest(args, "bragg", [out], estimate.seeds, started)
-    print(
-        f"weight at k = {fmt(estimate.position)}: limit {fmt(estimate.limit)}"
-        f" ({estimate.growth}); wrote {out}"
-    )
-    return 0
+    summary = f"weight at k = {fmt(estimate.position)}: limit {fmt(estimate.limit)}"
+    summary += f" ({estimate.growth})"
+    return _Outcome({"": estimate.to_json()}, summary, _seeds_read([spec], estimate.seeds))
 
 
-def _cmd_spectrum(args) -> int:
-    started = time.perf_counter()
-    spec = _load_model(args.model)
+def _spectrum(args, spec: ModelSpec) -> _Outcome:
     measure = analytic_diffraction(spec)
-    out = Path(args.out)
-    write_json(out, measure.to_json())
-    _write_manifest(args, "spectrum", [out], None, started)
     point_total = sum(weight for _, weight in measure.bragg)
-    print(
-        f"point masses: {len(measure.bragg)} (total {fmt(point_total)}),"
-        f" diffuse level {fmt(measure.ac_level)}; wrote {out}"
-    )
-    return 0
+    summary = f"point masses: {len(measure.bragg)} (total {fmt(point_total)}),"
+    summary += f" diffuse level {fmt(measure.ac_level)}"
+    return _Outcome({"": measure.to_json()}, summary)
 
 
-def _cmd_homometry(args) -> int:
-    started = time.perf_counter()
-    spec_a = _load_model(args.a)
-    spec_b = _load_model(args.b)
-    seeds = _parse_seeds(args.seeds)
+def _homometry(args, spec_a: ModelSpec, spec_b: ModelSpec) -> _Outcome:
+    ensemble = _parse_seeds(args.seeds) or DEFAULT_SEEDS
     if args.mode == "autocorr":
-        side_a = (
-            analytic_autocorrelation(spec_a, args.M)
-            if args.analytic_a
-            else empirical_autocorrelation(spec_a, args.N, args.M)
-        )
-        side_b = (
-            analytic_autocorrelation(spec_b, args.M)
-            if args.analytic_b
-            else empirical_autocorrelation(spec_b, args.N, args.M)
-        )
-        comparison = compare_autocorrelations(side_a, side_b, args.tol)
-        seeds_used = _model_seeds(spec_a, spec_b)
+        sides = ((spec_a, args.analytic_a), (spec_b, args.analytic_b))
+        factors = [_autocorrelation(spec, analytic, args.N, args.M) for spec, analytic in sides]
+        comparison = compare_autocorrelations(*factors, args.tol)
+        seeds_used = _seeds_read([spec for spec, analytic in sides if not analytic])
     else:
         comparison = spectral_homometry(
-            spec_a, spec_b, args.N, args.G, args.bins, args.tol,
-            seeds if seeds is not None else DEFAULT_SEEDS,
+            spec_a, spec_b, args.N, args.G, args.bins, args.tol, ensemble
         )
-        seeds_used = list(seeds) if seeds is not None else list(DEFAULT_SEEDS)
-    out = Path(args.out)
+        seeds_used = _seeds_read([spec_a, spec_b], ensemble)
     report = comparison.to_json()
-    report["mode"] = args.mode
-    report["a"] = spec_a.to_json()
-    report["b"] = spec_b.to_json()
-    write_json(out, report)
-    _write_manifest(args, "homometry", [out], seeds_used, started)
+    report.update(mode=args.mode, a=spec_a.to_json(), b=spec_b.to_json())
     verdict = "PASS" if comparison.passed else "FAIL"
-    print(
-        f"{verdict}: distance {fmt(comparison.distance)}"
-        f" vs tolerance {fmt(comparison.tolerance)}; wrote {out}"
-    )
-    return 0 if comparison.passed else 1
+    summary = f"{verdict}: distance {fmt(comparison.distance)}"
+    summary += f" vs tolerance {fmt(comparison.tolerance)}"
+    return _Outcome({"": report}, summary, seeds_used, comparison.passed)
 
 
-def _cmd_entropy(args) -> int:
-    started = time.perf_counter()
-    spec = _load_model(args.model)
+def _entropy(args, spec: ModelSpec) -> _Outcome:
     report = entropy_report(spec, args.N, args.k, args.L_max)
-    out = Path(args.out)
-    write_json(out, report.to_json())
-    _write_manifest(args, "entropy", [out], _model_seeds(spec), started)
-    print(
-        f"exact entropy {fmt(report.exact)},"
-        f" block estimate {fmt(report.block_entropy_per_symbol)} (k={args.k}); wrote {out}"
-    )
-    return 0
+    summary = f"exact entropy {fmt(report.exact)},"
+    summary += f" block estimate {fmt(report.block_entropy_per_symbol)} (k={args.k})"
+    return _Outcome({"": report.to_json()}, summary, _seeds_read([spec]))
 
 
-def _cmd_complexity(args) -> int:
-    started = time.perf_counter()
-    spec = _load_model(args.model)
+def _complexity(args, spec: ModelSpec) -> _Outcome:
     result = patch_complexity(spec, args.N, args.L_max)
-    out = Path(args.out)
-    result.to_csv(out, args.format)
-    _write_manifest(args, "complexity", [out], None, started)
     note = "all saturated" if result.all_saturated else "UNSATURATED: grow N"
-    print(f"p({args.L_max}) = {result.count(args.L_max)} ({note}); wrote {out}")
-    return 0
+    summary = f"p({args.L_max}) = {result.count(args.L_max)} ({note})"
+    return _Outcome({"": result}, summary, _seeds_read([spec]))
 
 
-def _cmd_product(args) -> int:
-    started = time.perf_counter()
-    spec_a = _load_model(args.a)
-    spec_b = _load_model(args.b)
-    out = Path(args.out)
+def _product(args, spec_a: ModelSpec, spec_b: ModelSpec) -> _Outcome:
     if args.mode == "diffraction":
         measure = product_diffraction(analytic_diffraction(spec_a), analytic_diffraction(spec_b))
-        write_json(out, measure.to_json())
-        summary = f"total mass {fmt(measure.total())}"
-        seeds = None
-    else:
-        if args.empirical:
-            factor_a = empirical_autocorrelation(spec_a, args.N, args.M)
-            factor_b = empirical_autocorrelation(spec_b, args.N, args.M)
-        else:
-            factor_a = analytic_autocorrelation(spec_a, args.M)
-            factor_b = analytic_autocorrelation(spec_b, args.M)
-        result = product_autocorrelation(factor_a, factor_b)
-        result.to_csv(out, args.format)
-        summary = f"eta(0, 0) = {fmt(result.value(0, 0))}"
-        seeds = _model_seeds(spec_a, spec_b)
-    _write_manifest(args, "product", [out], seeds, started)
-    print(f"{summary}; wrote {out}")
-    return 0
-
-
-def _cmd_verify_rs(args) -> int:
-    started = time.perf_counter()
-    report = verify_rs_recursions(args.max)
-    out = Path(args.out)
-    write_json(out, report.to_json())
-    _write_manifest(args, "verify-rs", [out], None, started)
-    print(
-        f"checked {report.checked} equations for |t| <= {report.max_index}:"
-        f" {len(report.violations)} violations; wrote {out}"
+        return _Outcome({"": measure.to_json()}, f"total mass {fmt(measure.total())}")
+    result = product_autocorrelation(
+        *(_autocorrelation(spec, not args.empirical, args.N, args.M) for spec in (spec_a, spec_b))
     )
-    return 0 if report.passed else 1
+    seeds = _seeds_read([spec_a, spec_b] if args.empirical else [])
+    return _Outcome({"": result}, f"eta(0, 0) = {fmt(result.value(0, 0))}", seeds)
+
+
+def _verify_rs(args) -> _Outcome:
+    report = verify_rs_recursions(args.max)
+    summary = f"checked {report.checked} equations for |t| <= {report.max_index}:"
+    summary += f" {len(report.violations)} violations"
+    return _Outcome({"": report.to_json()}, summary, passed=report.passed)
+
+
+# ── Runner ─────────────────────────────────────────────────────────────────
+
+def _run(args) -> int:
+    """Load the models, compute, then write the data files and the manifest, all or nothing."""
+    started = time.perf_counter()
+    models = [_load_model(vars(args)[key]) for key in ("model", "a", "b") if key in vars(args)]
+    outcome = args.func(args, *models)
+    out = Path(args.out)
+    paths = [out.with_name(out.stem + infix + out.suffix) for infix in outcome.outputs]
+    written: list[Path] = []
+    try:
+        for path, result in zip(paths, outcome.outputs.values()):
+            written.append(path)
+            if isinstance(result, dict):
+                write_json(path, result)
+            else:
+                result.to_csv(path, args.format)
+        manifest = {
+            "schema_version": 1,
+            "command": args.command,
+            "config": {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "out")},
+            "package_version": __version__,
+            "numpy_version": np.__version__,
+            "seeds": outcome.seeds,
+            "timing_seconds": round(time.perf_counter() - started, 6),
+            "outputs": [str(path) for path in paths],
+        }
+        written.append(out.with_name(out.stem + ".manifest.json"))
+        write_json(written[-1], manifest)
+    except BaseException:  # remove every output file, then re-raise
+        for path in written:
+            if path.is_file():
+                path.unlink()
+        raise
+    print(f"{outcome.summary}; wrote {out}")
+    return 0 if outcome.passed else 1
 
 
 # ── Parser ─────────────────────────────────────────────────────────────────
-
-def _add_model_argument(parser) -> None:
-    parser.add_argument(
-        "--model",
-        required=True,
-        help="model as inline JSON, a path to a JSON file, or a bare model name",
-    )
-
-
-def _add_format_argument(parser) -> None:
-    parser.add_argument(
-        "--format", choices=("csv", "json"), default="csv", help="data file format"
-    )
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -307,49 +247,44 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", help="write a window of model weights")
-    _add_model_argument(p)
+    def command(name: str, compute, help_text: str, model=True, table=False):
+        """Subparser with the shared flags: --model, --out and, for tables, --format."""
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=compute)
+        if model:
+            p.add_argument("--model", required=True,
+                           help="model as inline JSON, a path to a JSON file, or a bare model name")
+        p.add_argument("--out", default=f"{name}.{'csv' if table else 'json'}")
+        if table:
+            p.add_argument("--format", choices=("csv", "json"), default="csv",
+                           help="data file format")
+        return p
+
+    p = command("generate", _generate, "write a window of model weights", table=True)
     p.add_argument("--first", type=int, default=-64, help="first lattice index")
     p.add_argument("--last", type=int, default=64, help="last lattice index")
-    p.add_argument("--out", default="generate.csv")
-    _add_format_argument(p)
-    p.set_defaults(func=_cmd_generate)
 
-    p = sub.add_parser("autocorr", help="windowed or closed-form autocorrelation")
-    _add_model_argument(p)
+    p = command("autocorr", _autocorr, "windowed or closed-form autocorrelation", table=True)
     p.add_argument("--N", type=int, default=4096, help="window half-size")
     p.add_argument("--M", type=int, default=64, help="maximum lag")
     p.add_argument("--analytic", action="store_true", help="use the closed form")
-    p.add_argument("--out", default="autocorr.csv")
-    _add_format_argument(p)
-    p.set_defaults(func=_cmd_autocorr)
 
-    p = sub.add_parser("diffract", help="periodogram on a wavenumber grid")
-    _add_model_argument(p)
+    p = command("diffract", _diffract, "periodogram on a wavenumber grid", table=True)
     p.add_argument("--N", type=int, default=4096, help="window half-size")
     p.add_argument("--G", type=int, default=4096, help="wavenumber grid size")
     p.add_argument("--bins", type=int, default=None, help="also write binned masses")
-    p.add_argument("--out", default="diffract.csv")
-    _add_format_argument(p)
-    p.set_defaults(func=_cmd_diffract)
 
-    p = sub.add_parser("bragg", help="point-mass weight estimate along growing windows")
-    _add_model_argument(p)
+    p = command("bragg", _bragg, "point-mass weight estimate along growing windows")
     p.add_argument("--k0", required=True, help="wavenumber in [0, 1), e.g. 0.5 or 1/2")
     p.add_argument(
         "--N-list", dest="N_list", default="1024,4096,16384",
         help="comma-separated strictly increasing window half-sizes",
     )
     p.add_argument("--seeds", default=None, help="ensemble seeds: '1,2,3' or '1:50'")
-    p.add_argument("--out", default="bragg.json")
-    p.set_defaults(func=_cmd_bragg)
 
-    p = sub.add_parser("spectrum", help="closed-form spectral measure")
-    _add_model_argument(p)
-    p.add_argument("--out", default="spectrum.json")
-    p.set_defaults(func=_cmd_spectrum)
+    command("spectrum", _spectrum, "closed-form spectral measure")
 
-    p = sub.add_parser("homometry", help="compare two models' correlations or spectra")
+    p = command("homometry", _homometry, "compare two models' correlations or spectra", model=False)
     p.add_argument("--a", required=True, help="first model (JSON, file, or name)")
     p.add_argument("--b", required=True, help="second model (JSON, file, or name)")
     p.add_argument("--mode", choices=("autocorr", "spectral"), default="autocorr")
@@ -361,43 +296,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--analytic-a", action="store_true", help="closed form for side a")
     p.add_argument("--analytic-b", action="store_true", help="closed form for side b")
     p.add_argument("--seeds", default=None, help="ensemble seeds (spectral mode)")
-    p.add_argument("--out", default="homometry.json")
-    p.set_defaults(func=_cmd_homometry)
 
-    p = sub.add_parser("entropy", help="exact entropy and block-entropy estimate")
-    _add_model_argument(p)
+    p = command("entropy", _entropy, "exact entropy and block-entropy estimate")
     p.add_argument("--N", type=int, default=16384, help="window half-size")
     p.add_argument("--k", type=int, default=8, help="block length")
     p.add_argument(
         "--L-max", dest="L_max", type=int, default=None,
         help="also count subwords up to this length (deterministic models)",
     )
-    p.add_argument("--out", default="entropy.json")
-    p.set_defaults(func=_cmd_entropy)
 
-    p = sub.add_parser("complexity", help="distinct-subword counts")
-    _add_model_argument(p)
+    p = command("complexity", _complexity, "distinct-subword counts", table=True)
     p.add_argument("--N", type=int, default=16384, help="window half-size")
     p.add_argument("--L-max", dest="L_max", type=int, default=16)
-    p.add_argument("--out", default="complexity.csv")
-    _add_format_argument(p)
-    p.set_defaults(func=_cmd_complexity)
 
-    p = sub.add_parser("product", help="two-factor product: correlation or diffraction")
+    p = command("product", _product, "two-factor product: correlation or diffraction",
+                model=False, table=True)
     p.add_argument("--a", required=True, help="first factor model")
     p.add_argument("--b", required=True, help="second factor model")
     p.add_argument("--mode", choices=("autocorr", "diffraction"), default="autocorr")
     p.add_argument("--M", type=int, default=8, help="maximum lag per axis")
     p.add_argument("--N", type=int, default=256, help="window half-size (with --empirical)")
     p.add_argument("--empirical", action="store_true", help="estimate factors from windows")
-    p.add_argument("--out", default="product.csv")
-    _add_format_argument(p)
-    p.set_defaults(func=_cmd_product)
 
-    p = sub.add_parser("verify-rs", help="exact check of the Rudin-Shapiro correlation identity")
+    p = command("verify-rs", _verify_rs, "exact check of the Rudin-Shapiro correlation identity",
+                model=False)
     p.add_argument("--max", type=int, default=1024, help="largest |t| to check")
-    p.add_argument("--out", default="verify-rs.json")
-    p.set_defaults(func=_cmd_verify_rs)
 
     return parser
 
@@ -407,11 +330,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse already printed its diagnostic
-        code = exc.code
-        return code if isinstance(code, int) else 2
+        return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
-    except (ValueError, json.JSONDecodeError, OSError) as exc:
+        return _run(args)
+    except (ValueError, OSError) as exc:
         print(f"diffcomb {args.command}: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - internal failure path

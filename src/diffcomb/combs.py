@@ -11,6 +11,9 @@ Stream contract, fixed per release: for seed s, lattice index n owns counter
 block n + 2**64 of a Philox generator keyed by s; the first 64-bit word of
 that block, mapped into [0, 1) as (word >> 11) * 2**-53, is the uniform
 variate for n.  A Bernoulli weight is +1 exactly when the variate is < p.
+
+Lattice domain: every window lies inside |n| < 2**62 (LATTICE_BOUND), so
+indices and index sums such as n + M stay exact in int64.
 """
 
 from __future__ import annotations
@@ -34,6 +37,8 @@ MODEL_NAMES = (
 
 # Seed applied when a model JSON omits one.
 DEFAULT_SEED = 1
+
+LATTICE_BOUND = 1 << 62
 
 MAX_WINDOW_ENV = "DIFFCOMB_MAX_WINDOW"
 DEFAULT_MAX_WINDOW = 1 << 22
@@ -69,6 +74,15 @@ def _check_window_length(length: int) -> None:
 def _check_probability(p) -> None:
     if not isinstance(p, (int, float)) or isinstance(p, bool) or not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be a probability in [0, 1], got {p!r}")
+
+
+def _json_number(name: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is out of range, got {value}") from None
 
 
 def _check_seed(seed) -> None:
@@ -193,7 +207,8 @@ class ModelSpec:
         """Build a spec from the JSON object form, applying documented defaults.
 
         Missing w defaults to 1.0, missing p to 0.5, missing seed to
-        DEFAULT_SEED; unknown keys are rejected.
+        DEFAULT_SEED; unknown keys are rejected.  w and p must be JSON
+        numbers and pattern a JSON list of numbers (booleans are not numbers).
         """
         if not isinstance(obj, dict):
             raise ValueError("model JSON must be an object")
@@ -205,13 +220,13 @@ class ModelSpec:
             raise ValueError(f"unknown model {model!r}; expected one of {MODEL_NAMES}")
         kwargs: dict = {}
         if model == "constant":
-            kwargs["w"] = obj.get("w", 1.0)
+            kwargs["w"] = _json_number("w", obj.get("w", 1.0))
         if model == "periodic":
-            if "pattern" not in obj:
-                raise ValueError("periodic model requires 'pattern'")
-            kwargs["pattern"] = tuple(obj["pattern"])
+            if not isinstance(obj.get("pattern"), list):
+                raise ValueError("periodic model requires 'pattern', a list of numbers")
+            kwargs["pattern"] = tuple(_json_number("pattern entry", x) for x in obj["pattern"])
         if model in ("bernoulli", "bernoullised"):
-            kwargs["p"] = obj.get("p", 0.5)
+            kwargs["p"] = _json_number("p", obj.get("p", 0.5))
             kwargs["seed"] = obj.get("seed", DEFAULT_SEED)
         if model == "bernoullised":
             if "base" not in obj:
@@ -359,6 +374,8 @@ def generate_window(spec: ModelSpec, first: int, last: int) -> WeightWindow:
     """
     if first > last:
         raise ValueError(f"empty window: first={first} > last={last}")
+    if first <= -LATTICE_BOUND or last >= LATTICE_BOUND:
+        raise ValueError(f"window [{first}, {last}] leaves the lattice domain |n| < 2**62")
     _check_window_length(last - first + 1)
     n = np.arange(first, last + 1)
     if spec.model == "constant":

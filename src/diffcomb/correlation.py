@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._util import round12, write_json, write_table
+from ._util import round12, write_table
 from .combs import ModelSpec, generate_window
 
 
@@ -171,10 +171,6 @@ def verify_rs_recursions(max_index: int) -> RecursionCheckReport:
                     {"system": system, "t": t, "claimed": str(lhs), "recursion": str(rhs)}
                 )
     return RecursionCheckReport(max_index, checked, violations)
-
-
-def write_recursion_report(report: RecursionCheckReport, path) -> None:
-    write_json(Path(path), report.to_json())
 
 
 # ── Comparison (homometry in correlation form) ─────────────────────────────

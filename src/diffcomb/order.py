@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._util import round12, write_json, write_table
+from ._util import round12, write_table
 from .combs import ModelSpec, generate_window
 
 # Horner packing of subwords into int64 codes caps the word space.
@@ -169,7 +169,3 @@ def entropy_report(spec: ModelSpec, N: int, k: int, L_max: int | None = None) ->
         window_half_size=N,
         patches=patches,
     )
-
-
-def write_entropy_report(report: EntropyReport, path) -> None:
-    write_json(Path(path), report.to_json())

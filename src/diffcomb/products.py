@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._util import round12, write_json, write_table
+from ._util import round12, write_table
 from .combs import WeightWindow
 from .correlation import Autocorrelation
 from .spectra import SpectralMeasure
@@ -115,7 +115,3 @@ def product_diffraction(a: SpectralMeasure, b: SpectralMeasure) -> ProductSpectr
     return ProductSpectralMeasure(
         point_masses, lines_k1, lines_k2, a.ac_level * b.ac_level
     )
-
-
-def write_product_measure(measure: ProductSpectralMeasure, path) -> None:
-    write_json(Path(path), measure.to_json())

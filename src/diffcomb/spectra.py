@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._util import round12, write_json, write_table
+from ._util import round12, write_table
 from .combs import ModelSpec, WeightWindow, _check_window_length, generate_window, reseed
 
 # Ensemble seeds used when a stochastic run does not name its own.
@@ -232,10 +232,6 @@ class SpectralMeasure:
             "ac_level": round12(self.ac_level),
             "sc": self.sc,
         }
-
-
-def write_spectral_measure(measure: SpectralMeasure, path) -> None:
-    write_json(Path(path), measure.to_json())
 
 
 def analytic_diffraction(spec: ModelSpec) -> SpectralMeasure:

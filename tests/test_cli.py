@@ -1,8 +1,15 @@
 """Command-line interface: subcommands, exit codes, manifests, determinism."""
 
+import contextlib
+import hashlib
+import io
 import json
 import math
+import os
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from diffcomb.cli import main
@@ -74,6 +81,35 @@ class TestGenerate:
         assert main(["generate", "--model", "penrose", "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("model", [
+        '{"model": "periodic", "pattern": 5}',
+        '{"model": "periodic", "pattern": [[1]]}',
+        '{"model": "periodic", "pattern": "11"}',
+        '{"model": "periodic", "pattern": [1, true]}',
+        '{"model": "constant", "w": [1]}',
+        '{"model": "constant", "w": true}',
+        '{"model": "constant", "w": 1%s}' % ("0" * 400),
+        '{"model": "bernoulli", "p": [0.5]}',
+        '{"model": "bernoulli", "p": "0.5"}',
+    ])
+    def test_model_field_of_wrong_type_exits_2(self, tmp_path, model):
+        out = tmp_path / "w.csv"
+        assert main(["generate", "--model", model, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("first,last", [(2**62 - 2, 2**62), (-(2**62), -(2**62) + 3)])
+    def test_index_outside_lattice_domain_exits_2(self, tmp_path, first, last):
+        out = tmp_path / "w.csv"
+        code = main(["generate", "--model", "alternating",
+                     "--first", str(first), "--last", str(last), "--out", str(out)])
+        assert code == 2 and not out.exists()
+
+    def test_failed_manifest_write_removes_data_file(self, tmp_path):
+        out = tmp_path / "w.csv"
+        (tmp_path / "w.manifest.json").mkdir()
+        assert main(["generate", "--model", "constant", "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_window_cap(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DIFFCOMB_MAX_WINDOW", "101")
         out = tmp_path / "w.csv"
@@ -123,6 +159,15 @@ class TestDiffract:
         assert code == 2
         assert not out.exists()
         assert not (tmp_path / "pg.bins.csv").exists()
+
+    def test_failed_bins_write_removes_periodogram(self, tmp_path):
+        out = tmp_path / "pg.csv"
+        (tmp_path / "pg.bins.csv").mkdir()
+        code = main(["diffract", "--model", RS_JSON, "--N", "64", "--G", "64",
+                     "--bins", "8", "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        assert not (tmp_path / "pg.manifest.json").exists()
 
 
 class TestBragg:
@@ -208,6 +253,14 @@ class TestHomometry:
         assert code == 0
         data = json.loads(out.read_text())
         assert data["bins"] == 16 and len(data["masses_a"]) == 16
+
+    def test_spectral_mode_on_deterministic_models_records_no_seeds(self, tmp_path):
+        out = tmp_path / "hom.json"
+        code = main(["homometry", "--a", "rudin_shapiro", "--b", "rudin_shapiro",
+                     "--mode", "spectral", "--N", "64", "--G", "16", "--bins", "4",
+                     "--out", str(out)])
+        assert code == 0
+        assert read_manifest(out)["seeds"] is None
 
 
 class TestEntropy:
@@ -303,3 +356,106 @@ class TestParsing:
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
         assert "diffcomb" in capsys.readouterr().out
+
+
+# ── Golden runs ────────────────────────────────────────────────────────────
+# Every subcommand on small inputs, each run alone in an empty directory with
+# relative output paths.  The expected digests, stdout and manifests live in
+# cli_golden.json; `PYTHONPATH=src python tests/test_cli.py` re-records them.
+
+RSB_JSON = '{"model": "bernoullised", "base": {"model": "rudin_shapiro"}, "p": 0.25, "seed": 3}'
+PERIODIC_JSON = '{"model": "periodic", "pattern": [1, 1, -1]}'
+GOLDEN_PATH = Path(__file__).with_name("cli_golden.json")
+GOLDEN_CASES = {
+    "generate-csv": ["generate", "--model", "rudin_shapiro", "--first", "-20", "--last", "20",
+                     "--out", "w.csv"],
+    "generate-json": ["generate", "--model", COIN_JSON, "--first", "-10", "--last", "10",
+                      "--format", "json", "--out", "w.json"],
+    "autocorr-empirical": ["autocorr", "--model", RSB_JSON, "--N", "128", "--M", "8",
+                           "--out", "eta.csv"],
+    "autocorr-json": ["autocorr", "--model", PERIODIC_JSON, "--N", "64", "--M", "6",
+                      "--format", "json", "--out", "eta.json"],
+    "autocorr-analytic-stochastic": ["autocorr", "--model", COIN_JSON, "--analytic", "--M", "4",
+                                     "--out", "eta.csv"],
+    "diffract-bins": ["diffract", "--model", "rudin_shapiro", "--N", "64", "--G", "32",
+                      "--bins", "4", "--out", "pg.csv"],
+    "diffract-json": ["diffract", "--model", COIN_JSON, "--N", "64", "--G", "16",
+                      "--format", "json", "--out", "pg.json"],
+    "bragg-ensemble": ["bragg", "--model", RSB_JSON, "--k0", "1/2", "--N-list", "64,256",
+                       "--seeds", "1:3", "--out", "bragg.json"],
+    "bragg-deterministic": ["bragg", "--model", "alternating", "--k0", "0.5",
+                            "--N-list", "16,64"],
+    "spectrum-periodic": ["spectrum", "--model", PERIODIC_JSON, "--out", "spec.json"],
+    "spectrum-stochastic": ["spectrum", "--model", RSB_JSON],
+    "homometry-autocorr": ["homometry", "--a", RSB_JSON, "--b", "rudin_shapiro", "--analytic-b",
+                           "--N", "256", "--M", "8", "--tol", "0.5", "--out", "hom.json"],
+    "homometry-fail": ["homometry", "--a", "alternating", "--b", "rudin_shapiro", "--M", "4",
+                       "--analytic-a", "--analytic-b", "--tol", "0.01", "--out", "hom.json"],
+    "homometry-spectral-ensemble": ["homometry", "--mode", "spectral", "--a", RSB_JSON,
+                                    "--b", "rudin_shapiro", "--N", "64", "--G", "16",
+                                    "--bins", "4", "--seeds", "1:3", "--tol", "0.5",
+                                    "--out", "hom.json"],
+    "homometry-spectral-deterministic": ["homometry", "--mode", "spectral", "--a", "rudin_shapiro",
+                                         "--b", PERIODIC_JSON, "--N", "64", "--G", "12",
+                                         "--bins", "3", "--tol", "1", "--out", "hom.json"],
+    "entropy-deterministic": ["entropy", "--model", "rudin_shapiro", "--N", "1024", "--k", "4",
+                              "--L-max", "4", "--out", "ent.json"],
+    "entropy-stochastic": ["entropy", "--model", COIN_JSON, "--N", "1024", "--k", "3",
+                           "--out", "ent.json"],
+    "complexity-csv": ["complexity", "--model", "rudin_shapiro", "--N", "256", "--L-max", "5",
+                       "--out", "p.csv"],
+    "complexity-json": ["complexity", "--model", PERIODIC_JSON, "--N", "256", "--L-max", "4",
+                        "--format", "json", "--out", "p.json"],
+    "product-analytic": ["product", "--a", "rudin_shapiro", "--b", PERIODIC_JSON, "--M", "2",
+                         "--out", "prod.csv"],
+    "product-json": ["product", "--a", "alternating", "--b", PERIODIC_JSON, "--M", "1",
+                     "--format", "json", "--out", "prod.json"],
+    "product-empirical": ["product", "--a", RSB_JSON, "--b", COIN_JSON, "--empirical",
+                          "--N", "64", "--M", "2", "--out", "prod.csv"],
+    "product-diffraction": ["product", "--a", PERIODIC_JSON, "--b", "alternating",
+                            "--mode", "diffraction", "--out", "prod.json"],
+    "verify-rs": ["verify-rs", "--max", "16"],
+}
+
+
+def run_golden_case(argv, workdir):
+    """Exit code, stdout, data-file digests and manifest of one run in workdir.
+
+    The manifest drops timing_seconds, which varies between runs, and
+    numpy_version, which is checked against the running numpy instead.
+    """
+    previous = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            code = main(argv)
+    finally:
+        os.chdir(previous)
+    (manifest_path,) = Path(workdir).glob("*.manifest.json")
+    manifest = json.loads(manifest_path.read_text())
+    del manifest["timing_seconds"]
+    assert manifest.pop("numpy_version") == np.__version__
+    files = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(Path(workdir).iterdir())
+        if path != manifest_path
+    }
+    return {"code": code, "stdout": stdout.getvalue(), "files": files, "manifest": manifest}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_golden_run(case, tmp_path):
+    expected = json.loads(GOLDEN_PATH.read_text())[case]
+    assert run_golden_case(GOLDEN_CASES[case], tmp_path) == expected
+
+
+def record_golden() -> None:
+    golden = {}
+    for case, argv in sorted(GOLDEN_CASES.items()):
+        with tempfile.TemporaryDirectory() as workdir:
+            golden[case] = run_golden_case(argv, workdir)
+    GOLDEN_PATH.write_text(json.dumps(golden, indent=2) + "\n", encoding="ascii")
+
+
+if __name__ == "__main__":
+    record_golden()

@@ -9,6 +9,8 @@ import diffcomb as dc
 
 RS = dc.ModelSpec.rudin_shapiro()
 ALT = dc.ModelSpec.alternating()
+# Largest |n| of the documented lattice domain |n| < 2**62.
+LATTICE_EDGE = 2**62 - 1
 
 
 def catalogue(seed=1):
@@ -171,6 +173,25 @@ class TestGenerateWindow:
         monkeypatch.setenv(dc.MAX_WINDOW_ENV, "many")
         with pytest.raises(ValueError):
             dc.max_window_length()
+
+    @settings(max_examples=60, deadline=None)
+    @given(first=st.integers(-LATTICE_EDGE, LATTICE_EDGE), size=st.integers(1, 8))
+    def test_lattice_domain_matches_scalar_weights(self, first, size):
+        last = min(first + size - 1, LATTICE_EDGE)
+        n = range(first, last + 1)
+        assert dc.generate_window(RS, first, last).weights.tolist() == [dc.rs_weight(i) for i in n]
+        assert dc.generate_window(ALT, first, last).weights.tolist() == [1 - 2 * (i % 2) for i in n]
+        periodic = dc.generate_window(dc.ModelSpec.periodic((1.0, 2.0, 3.0)), first, last)
+        assert periodic.weights.tolist() == [1.0 + i % 3 for i in n]
+
+    def test_lattice_domain_edges(self):
+        edge = LATTICE_EDGE
+        assert dc.generate_window(RS, edge - 3, edge).weights.tolist() == [
+            dc.rs_weight(i) for i in range(edge - 3, edge + 1)
+        ]
+        for first, last in ((edge - 3, edge + 1), (-edge - 1, -edge + 2)):
+            with pytest.raises(ValueError, match="lattice"):
+                dc.generate_window(RS, first, last)
 
 
 class TestWindowConsistency:
