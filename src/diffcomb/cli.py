@@ -206,7 +206,9 @@ def _run(args) -> int:
     started = time.perf_counter()
     models = [_load_model(vars(args)[key]) for key in ("model", "a", "b") if key in vars(args)]
     outcome = args.func(args, *models)
-    out = Path(args.out)
+    report = any(isinstance(result, dict) for result in outcome.outputs.values())
+    suffix = "json" if report or getattr(args, "format", "csv") == "json" else "csv"
+    out = Path(f"{args.command}.{suffix}" if args.out is None else args.out)
     paths = [out.with_name(out.stem + infix + out.suffix) for infix in outcome.outputs]
     written: list[Path] = []
     try:
@@ -254,7 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
         if model:
             p.add_argument("--model", required=True,
                            help="model as inline JSON, a path to a JSON file, or a bare model name")
-        p.add_argument("--out", default=f"{name}.{'csv' if table else 'json'}")
+        p.add_argument("--out", default=None,
+                       help=f"data file; default {name}.csv for a CSV table, else {name}.json")
         if table:
             p.add_argument("--format", choices=("csv", "json"), default="csv",
                            help="data file format")

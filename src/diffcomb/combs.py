@@ -266,19 +266,16 @@ def rs_weight(n: int) -> int:
 
 
 def rs_weights(indices) -> np.ndarray:
-    """Vectorised rs_weight over an integer array (same descent, ~log4 sweeps)."""
-    n = np.array(indices, dtype=np.int64)
-    sign = np.ones(n.shape, dtype=np.int64)
-    active = (n != 0) & (n != -1)
-    while active.any():
-        l = n & 3
-        q = n >> 2
-        flip = active & (l >= 2) & (((q + l) & 1) == 1)
-        sign[flip] = -sign[flip]
-        n = np.where(active, q, n)
-        active = (n != 0) & (n != -1)
-    sign[n == -1] *= -1
-    return sign.astype(np.float64)
+    """Vectorised rs_weight over an integer array, in closed form.
+
+    The sign is -1 exactly when the binary expansion of n holds an odd number
+    of "11" blocks (overlapping pairs of adjacent ones; Allouche & Shallit,
+    Automatic Sequences, 2003).  Counted on the 64-bit two's complement with a
+    logical shift, the leading ones of a negative n carry its sign: -1 has 63
+    such pairs.
+    """
+    u = np.array(indices, dtype=np.int64).view(np.uint64)
+    return 1.0 - 2.0 * (np.bitwise_count(u & (u >> 1)) & 1)
 
 
 # ── Counter-based stochastic stream ────────────────────────────────────────

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from ._util import round12, write_table
-from .combs import ModelSpec, generate_window
+from .combs import ModelSpec, _check_window_length, generate_window
 
 
 @dataclass(eq=False)
@@ -72,9 +72,11 @@ def empirical_autocorrelation(spec: ModelSpec, N: int, M: int) -> Autocorrelatio
 
 
 def analytic_autocorrelation(spec: ModelSpec, M: int) -> Autocorrelation:
-    """Limit coefficients of a model at lags up to M, from the closed form."""
+    """Limit coefficients of a model at lags up to M, from the closed form;
+    the window cap bounds the 2M + 1 lags."""
     if M < 0:
         raise ValueError(f"max lag M must be nonnegative, got {M}")
+    _check_window_length(2 * M + 1)
     m = np.arange(-M, M + 1)
     if spec.model == "constant":
         eta = np.full(2 * M + 1, spec.w**2)
@@ -82,9 +84,9 @@ def analytic_autocorrelation(spec: ModelSpec, M: int) -> Autocorrelation:
         eta = np.where(m % 2 == 0, 1.0, -1.0)
     elif spec.model == "periodic":
         c = np.asarray(spec.pattern)
-        q = c.size
-        cyclic = np.array([float(c @ np.roll(c, -k)) for k in range(q)]) / q
-        eta = cyclic[m % q]
+        residues, inverse = np.unique(m % c.size, return_inverse=True)
+        cyclic = np.array([float(c @ np.roll(c, -k)) for k in residues]) / c.size
+        eta = cyclic[inverse]
     elif spec.model == "rudin_shapiro":
         eta = np.zeros(2 * M + 1)
         eta[M] = 1.0
@@ -136,10 +138,12 @@ def verify_rs_recursions(max_index: int) -> RecursionCheckReport:
 
     Each t is written t = 4m + l with Euclidean remainder l in {0,1,2,3},
     and both the a- and b-equations of that branch are evaluated with
-    Fraction arithmetic; any inequality is recorded as a violation.
+    Fraction arithmetic; any inequality is recorded as a violation.  The
+    window cap bounds the 2 * max_index + 1 lags.
     """
     if max_index < 1:
         raise ValueError(f"max_index must be >= 1, got {max_index}")
+    _check_window_length(2 * max_index + 1)
     quarter = Fraction(1, 4)
     half = Fraction(1, 2)
     violations: list[dict] = []

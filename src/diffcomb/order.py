@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from ._util import round12, write_table
-from .combs import ModelSpec, generate_window
+from .combs import ModelSpec, _check_probability, generate_window
 
 # Horner packing of subwords into int64 codes caps the word space.
 _MAX_CODE = 1 << 62
@@ -18,8 +18,7 @@ _MAX_CODE = 1 << 62
 
 def bernoulli_entropy(p: float) -> float:
     """Entropy -p log p - (1-p) log(1-p) in nats, with 0 log 0 = 0."""
-    if not isinstance(p, (int, float)) or isinstance(p, bool) or not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be a probability in [0, 1], got {p!r}")
+    _check_probability(p)
     if p == 0.0 or p == 1.0:
         return 0.0
     return -p * math.log(p) - (1.0 - p) * math.log(1.0 - p)
@@ -33,20 +32,21 @@ def exact_entropy(spec: ModelSpec) -> float:
     return 0.0
 
 
-def _subword_codes(weights: np.ndarray, length: int) -> np.ndarray:
-    """Pack every length-`length` subword into one integer code (Horner over
-    the alphabet observed in the window)."""
+def _subword_codes(weights: np.ndarray, max_length: int):
+    """Yield, for L = 1..max_length in turn, the codes of every length-L
+    subword, each packed into one integer (Horner over the alphabet observed
+    in the window).  Length L extends the codes of length L-1 by one digit."""
     _, inverse = np.unique(weights, return_inverse=True)
     alphabet_size = int(inverse.max()) + 1
-    if alphabet_size**length > _MAX_CODE:
+    if alphabet_size**max_length > _MAX_CODE:
         raise ValueError(
-            f"subword space {alphabet_size}**{length} exceeds the packing limit 2**62"
+            f"subword space {alphabet_size}**{max_length} exceeds the packing limit 2**62"
         )
-    count = weights.size - length + 1
-    codes = np.zeros(count, dtype=np.int64)
-    for j in range(length):
-        codes = codes * alphabet_size + inverse[j : j + count]
-    return codes
+    codes = inverse.astype(np.int64, copy=False)
+    yield codes
+    for L in range(2, max_length + 1):
+        codes = codes[:-1] * alphabet_size + inverse[L - 1 :]
+        yield codes
 
 
 def block_entropy(spec: ModelSpec, N: int, k: int) -> float:
@@ -66,7 +66,8 @@ def block_entropy(spec: ModelSpec, N: int, k: int) -> float:
             f"window of {size} sites is too small for k={k}; need at least {100 * 2**k}"
         )
     w = generate_window(spec, -N, N).weights
-    codes = _subword_codes(w, k)
+    for codes in _subword_codes(w, k):  # one length alive at a time; keeps length k
+        pass
     _, counts = np.unique(codes, return_counts=True)
     probabilities = counts / codes.size
     return float(-(probabilities * np.log(probabilities)).sum() / k)
@@ -118,15 +119,15 @@ def patch_complexity(spec: ModelSpec, N: int, L_max: int) -> PatchComplexity:
             f"window of {2 * N + 1} sites is too small for L_max={L_max};"
             f" need at least {100 * L_max}"
         )
-    w = generate_window(spec, -N, N).weights
+    # Codes on the doubled window [-2N, 2N]; the subwords of [-N, N] are the
+    # ones starting at positions N..3N+1-L.
     w_doubled = generate_window(spec, -2 * N, 2 * N).weights
     entries = []
     saturated = []
-    for L in range(1, L_max + 1):
-        count = int(np.unique(_subword_codes(w, L)).size)
-        doubled = int(np.unique(_subword_codes(w_doubled, L)).size)
+    for L, codes in enumerate(_subword_codes(w_doubled, L_max), start=1):
+        count = np.unique(codes[N : 3 * N + 2 - L]).size
         entries.append((L, count))
-        saturated.append(count == doubled)
+        saturated.append(count == np.unique(codes).size)
     return PatchComplexity(N, entries, saturated)
 
 

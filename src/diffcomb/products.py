@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from ._util import round12, write_table
-from .combs import WeightWindow
+from .combs import WeightWindow, _check_window_length
 from .correlation import Autocorrelation
 from .spectra import SpectralMeasure
 
@@ -65,9 +65,11 @@ class ProductAutocorrelation:
 
 
 def product_autocorrelation(a: Autocorrelation, b: Autocorrelation) -> ProductAutocorrelation:
-    """Correlation of the product comb: the outer product of the factors."""
+    """Correlation of the product comb: the outer product of the factors;
+    the window cap bounds the (2M + 1)**2 cells of the lag square."""
     if a.max_lag != b.max_lag:
         raise ValueError(f"factor lag ranges differ: {a.max_lag} vs {b.max_lag}")
+    _check_window_length((2 * a.max_lag + 1) ** 2)
     return ProductAutocorrelation(a.max_lag, np.outer(a.eta, b.eta))
 
 

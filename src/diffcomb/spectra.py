@@ -133,17 +133,16 @@ def bragg_weight(spec: ModelSpec, k0, N_list, seeds=None) -> BraggWeightEstimate
         seed_list = DEFAULT_SEEDS if seeds is None else tuple(seeds)
         if not seed_list:
             raise ValueError("seed list must be nonempty for stochastic models")
-    entries = []
-    for N in sizes:
-        if seed_list is not None:
-            intensity = float(
-                np.mean(
-                    [direct_intensity(generate_window(reseed(spec, s), -N, N), k) for s in seed_list]
-                )
-            )
-        else:
-            intensity = direct_intensity(generate_window(spec, -N, N), k)
-        entries.append((N, intensity / (2 * N + 1)))
+    streams = [spec] if seed_list is None else [reseed(spec, s) for s in seed_list]
+    # One window per stream, at the largest N; every smaller N reads its centre.
+    intensities = []  # [stream][size]
+    for stream in streams:
+        window = generate_window(stream, -sizes[-1], sizes[-1])
+        intensities.append([direct_intensity(window.restrict(-N, N), k) for N in sizes])
+    entries = [
+        (N, float(np.mean([row[j] for row in intensities])) / (2 * N + 1))
+        for j, N in enumerate(sizes)
+    ]
     slope = None
     growth = "indeterminate"
     if len(entries) >= 2:

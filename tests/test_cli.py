@@ -344,6 +344,55 @@ class TestVerifyRs:
         assert not out.exists()
 
 
+class TestLagRangeCap:
+    @pytest.mark.parametrize("argv", [
+        ["autocorr", "--model", "rudin_shapiro", "--analytic", "--M", "10000000000"],
+        ["product", "--a", "rudin_shapiro", "--b", "alternating", "--M", "5"],
+        ["verify-rs", "--max", "50"],
+    ])
+    def test_exits_2_with_cap_message(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.setenv("DIFFCOMB_MAX_WINDOW", "100")
+        assert main([*argv, "--out", str(tmp_path / "out.json")]) == 2
+        assert "exceeds the cap of 100" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_product_grid_at_the_cap_runs(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("DIFFCOMB_MAX_WINDOW", "81")
+        out = tmp_path / "prod.csv"
+        assert main(["product", "--a", "rudin_shapiro", "--b", "alternating", "--M", "4",
+                     "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 82
+
+
+class TestDefaultOut:
+    @pytest.mark.parametrize("argv,name", [
+        (["generate", "--model", "constant"], "generate.csv"),
+        (["generate", "--model", "constant", "--format", "json"], "generate.json"),
+        (["product", "--a", "constant", "--b", "alternating", "--M", "1"], "product.csv"),
+        (["product", "--a", "constant", "--b", "alternating", "--mode", "diffraction"],
+         "product.json"),
+        (["spectrum", "--model", "alternating"], "spectrum.json"),
+    ])
+    def test_suffix_matches_written_format(self, tmp_path, monkeypatch, argv, name):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 0
+        stem, suffix = name.split(".")
+        assert sorted(path.name for path in tmp_path.iterdir()) == [name, f"{stem}.manifest.json"]
+        text = (tmp_path / name).read_text()
+        if suffix == "json":
+            json.loads(text)
+        else:
+            assert not text.startswith("{")
+
+    def test_bins_follow_the_default_name(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["diffract", "--model", "alternating", "--N", "8", "--G", "8",
+                     "--bins", "2", "--format", "json"]) == 0
+        assert read_manifest(Path("diffract.json"))["outputs"] == [
+            "diffract.json", "diffract.bins.json"
+        ]
+
+
 class TestParsing:
     def test_unknown_flag(self, tmp_path, capsys):
         assert main(["generate", "--model", "constant", "--frobnicate"]) == 2

@@ -51,7 +51,8 @@ class TestRudinShapiroWeights:
             assert np.array_equal(direct, expected)
 
     def test_scalar_matches_vector(self):
-        ns = np.arange(-3000, 3000)
+        # around the origin, and at the 64-bit edges of the lattice domain
+        ns = np.concatenate([np.arange(-3000, 3000), [LATTICE_EDGE, -LATTICE_EDGE, -(2**61) - 7]])
         vec = dc.rs_weights(ns)
         assert all(dc.rs_weight(int(n)) == v for n, v in zip(ns, vec))
 

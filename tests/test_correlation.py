@@ -94,12 +94,19 @@ class TestAnalyticAutocorrelation:
         assert alt.value(3) == -1.0
 
     def test_periodic_cyclic_means(self):
-        pattern = (0.5, 2.0, -1.0)
-        ac = dc.analytic_autocorrelation(dc.ModelSpec.periodic(pattern), 7)
-        c = np.array(pattern)
-        for m in range(-7, 8):
-            expected = float(c @ np.roll(c, -(m % 3))) / 3
-            assert ac.value(m) == pytest.approx(expected, rel=1e-15)
+        long_pattern = tuple(np.random.default_rng(11).choice([-1.0, 1.0], size=997))
+        for pattern, M in (((0.5, 2.0, -1.0), 7), (long_pattern, 5)):
+            ac = dc.analytic_autocorrelation(dc.ModelSpec.periodic(pattern), M)
+            c = np.array(pattern)
+            for m in range(-M, M + 1):
+                assert ac.value(m) == float(c @ np.roll(c, -(m % c.size))) / c.size
+
+    def test_window_cap_applies_to_lag_range(self, monkeypatch):
+        monkeypatch.setenv(dc.MAX_WINDOW_ENV, "101")
+        for M in (51, 10**10):
+            with pytest.raises(dc.ResourceLimitError):
+                dc.analytic_autocorrelation(RS, M)
+        assert dc.analytic_autocorrelation(RS, 50).eta.size == 101
 
     def test_rudin_shapiro_is_delta(self):
         ac = dc.analytic_autocorrelation(RS, 10)
@@ -148,6 +155,12 @@ class TestRecursionVerification:
     def test_invalid_range(self):
         with pytest.raises(ValueError):
             dc.verify_rs_recursions(0)
+
+    def test_window_cap_applies_to_lag_range(self, monkeypatch):
+        monkeypatch.setenv(dc.MAX_WINDOW_ENV, "101")
+        with pytest.raises(dc.ResourceLimitError):
+            dc.verify_rs_recursions(51)
+        assert dc.verify_rs_recursions(50).passed
 
 
 class TestCompareAutocorrelations:

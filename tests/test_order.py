@@ -134,6 +134,24 @@ class TestPatchComplexity:
         assert pc.saturated == [False]
         assert not pc.all_saturated
 
+    def test_counts_and_flags_match_set_oracle(self):
+        # a 3-valued period longer than [-N, N] and shorter than [-2N, 2N]:
+        # short lengths saturate, long ones do not; with this draw, a subword
+        # at either end of [-N, N] occurs nowhere else in it
+        rng = np.random.default_rng(4)
+        spec = dc.ModelSpec.periodic(rng.choice([-1.0, 0.5, 2.0], size=800))
+        N, L_max = 300, 6
+
+        def distinct(first, last, L):
+            w = dc.generate_window(spec, first, last).weights.tolist()
+            return len({tuple(w[i : i + L]) for i in range(len(w) - L + 1)})
+
+        pc = dc.patch_complexity(spec, N, L_max)
+        lengths = range(1, L_max + 1)
+        assert pc.entries == [(L, distinct(-N, N, L)) for L in lengths]
+        assert pc.saturated == [distinct(-N, N, L) == distinct(-2 * N, 2 * N, L) for L in lengths]
+        assert pc.saturated[0] and not pc.saturated[-1]
+
     def test_stochastic_model_rejected(self):
         with pytest.raises(ValueError):
             dc.patch_complexity(dc.ModelSpec.bernoulli(0.5, 1), 2**10, 4)

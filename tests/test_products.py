@@ -94,6 +94,15 @@ class TestProductAutocorrelation:
                 dc.analytic_autocorrelation(RS, 3), dc.analytic_autocorrelation(ALT, 4)
             )
 
+    def test_window_cap_applies_to_lag_square(self, monkeypatch):
+        # the factors fit under the cap, their (2M+1)**2 grid does not
+        monkeypatch.setenv(dc.MAX_WINDOW_ENV, "100")
+        factors = dc.analytic_autocorrelation(RS, 5), dc.analytic_autocorrelation(ALT, 5)
+        with pytest.raises(dc.ResourceLimitError):
+            dc.product_autocorrelation(*factors)
+        smaller = dc.analytic_autocorrelation(RS, 4), dc.analytic_autocorrelation(ALT, 4)
+        assert dc.product_autocorrelation(*smaller).eta.shape == (9, 9)
+
     def test_lag_lookup_bounds(self):
         prod = dc.product_autocorrelation(
             dc.analytic_autocorrelation(RS, 2), dc.analytic_autocorrelation(ALT, 2)

@@ -122,6 +122,17 @@ class TestBraggWeight:
         est = dc.bragg_weight(dc.ModelSpec.bernoulli(0.5, 1), 0, [2**8, 2**10], seeds=range(1, 11))
         assert est.growth == "continuous"
 
+    def test_ensemble_matches_windows_regenerated_per_size(self):
+        spec = dc.ModelSpec.bernoullised(RS, 0.25, 1)
+        sizes, seeds, k = [16, 64, 256], (4, 5, 6), 1 / 3
+        est = dc.bragg_weight(spec, k, sizes, seeds)
+        expected = []
+        for N in sizes:
+            windows = [dc.generate_window(dc.reseed(spec, s), -N, N) for s in seeds]
+            intensity = float(np.mean([dc.direct_intensity(w, k) for w in windows]))
+            expected.append((N, intensity / (2 * N + 1)))
+        assert est.entries == expected
+
     def test_single_size_is_indeterminate(self):
         est = dc.bragg_weight(ALT, "1/2", [256])
         assert est.growth == "indeterminate" and est.growth_slope is None
