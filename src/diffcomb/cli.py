@@ -30,7 +30,13 @@ import numpy as np
 
 from . import __version__
 from ._util import fmt, write_json
-from .combs import ModelSpec, generate_window
+from .combs import (
+    MAX_WINDOW_ENV,
+    ModelSpec,
+    ResourceLimitError,
+    _ensemble_budget,
+    generate_window,
+)
 from .correlation import (
     analytic_autocorrelation,
     compare_autocorrelations,
@@ -70,6 +76,13 @@ def _parse_seeds(text: str | None) -> tuple[int, ...] | None:
         first, last = int(lo), int(hi)
         if first > last:
             raise ValueError(f"empty seed range {text!r}")
+        # Every seed reads at least one site, so the range is checked before it is expanded.
+        count, budget = last - first + 1, _ensemble_budget()
+        if count > budget:
+            raise ResourceLimitError(
+                f"seed range {text!r} holds {count} seeds, more than the ensemble budget"
+                f" of {budget} sites (raise {MAX_WINDOW_ENV} to allow it)"
+            )
         return tuple(range(first, last + 1))
     seeds = tuple(int(part) for part in text.split(",") if part.strip())
     if not seeds:

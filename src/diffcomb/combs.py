@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -42,6 +41,8 @@ LATTICE_BOUND = 1 << 62
 
 MAX_WINDOW_ENV = "DIFFCOMB_MAX_WINDOW"
 DEFAULT_MAX_WINDOW = 1 << 22
+# Sites a seed ensemble may generate in all (seeds x sites per seed), in window caps.
+ENSEMBLE_WORK_FACTOR = 64
 
 
 class ResourceLimitError(ValueError):
@@ -68,6 +69,19 @@ def _check_window_length(length: int) -> None:
         raise ResourceLimitError(
             f"window of length {length} exceeds the cap of {cap}"
             f" (raise {MAX_WINDOW_ENV} to allow it)"
+        )
+
+
+def _ensemble_budget() -> int:
+    return ENSEMBLE_WORK_FACTOR * max_window_length()
+
+
+def _check_ensemble_work(seeds: int, sites: int) -> None:
+    budget = _ensemble_budget()
+    if seeds * sites > budget:
+        raise ResourceLimitError(
+            f"{seeds} seeds x {sites} sites exceed the ensemble budget of {budget} sites"
+            f" ({ENSEMBLE_WORK_FACTOR} window caps; raise {MAX_WINDOW_ENV} to allow it)"
         )
 
 
@@ -283,7 +297,7 @@ def rs_weights(indices) -> np.ndarray:
 # Absolute counter block of lattice index 0; keeps negative indices positive.
 _STREAM_ORIGIN = 1 << 64
 # Cap per-chunk scratch memory while generating long windows.
-_CHUNK = 1 << 20
+_CHUNK = 1 << 16
 
 
 def index_uniforms(seed: int, first: int, last: int) -> np.ndarray:
@@ -359,8 +373,7 @@ class WeightWindow:
         return bool(np.all(np.abs(self.weights) == 1.0))
 
     def to_csv(self, path, output_format: str = "csv") -> None:
-        rows = zip((int(n) for n in self.indices()), self.weights)
-        write_table(Path(path), ["n", "w"], rows, output_format)
+        write_table(path, ["n", "w"], [self.indices(), self.weights], output_format)
 
 
 def generate_window(spec: ModelSpec, first: int, last: int) -> WeightWindow:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 
@@ -46,8 +45,7 @@ class Autocorrelation:
         return float(self.eta[m + self.max_lag])
 
     def to_csv(self, path, output_format: str = "csv") -> None:
-        rows = zip((int(m) for m in self.lags()), self.eta)
-        write_table(Path(path), ["m", "eta"], rows, output_format)
+        write_table(path, ["m", "eta"], [self.lags(), self.eta], output_format)
 
 
 def empirical_autocorrelation(spec: ModelSpec, N: int, M: int) -> Autocorrelation:

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -96,7 +95,7 @@ class PatchComplexity:
         raise ValueError(f"no count for length {L}")
 
     def to_csv(self, path, output_format: str = "csv") -> None:
-        write_table(Path(path), ["L", "count"], self.entries, output_format)
+        write_table(path, ["L", "count"], list(zip(*self.entries)), output_format)
 
     def to_json(self) -> dict:
         return {

@@ -8,7 +8,6 @@ here are assembled from their one-dimensional factors rather than recomputed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -55,13 +54,9 @@ class ProductAutocorrelation:
         return float(self.eta[m1 + M, m2 + M])
 
     def to_csv(self, path, output_format: str = "csv") -> None:
-        M = self.max_lag
-        rows = (
-            (m1, m2, self.eta[m1 + M, m2 + M])
-            for m1 in range(-M, M + 1)
-            for m2 in range(-M, M + 1)
-        )
-        write_table(Path(path), ["m1", "m2", "eta"], rows, output_format)
+        lags = np.arange(-self.max_lag, self.max_lag + 1)
+        values = [np.repeat(lags, lags.size), np.tile(lags, lags.size), self.eta.ravel()]
+        write_table(path, ["m1", "m2", "eta"], values, output_format)
 
 
 def product_autocorrelation(a: Autocorrelation, b: Autocorrelation) -> ProductAutocorrelation:

@@ -11,12 +11,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 
 from ._util import round12, write_table
-from .combs import ModelSpec, WeightWindow, _check_window_length, generate_window, reseed
+from .combs import (
+    ModelSpec,
+    WeightWindow,
+    _check_ensemble_work,
+    _check_window_length,
+    generate_window,
+    reseed,
+)
 
 # Ensemble seeds used when a stochastic run does not name its own.
 DEFAULT_SEEDS = tuple(range(1, 51))
@@ -43,8 +49,7 @@ class Periodogram:
         return float(self.intensities.mean())
 
     def to_csv(self, path, output_format: str = "csv") -> None:
-        rows = zip(self.wavenumbers(), self.intensities)
-        write_table(Path(path), ["k", "intensity"], rows, output_format)
+        write_table(path, ["k", "intensity"], [self.wavenumbers(), self.intensities], output_format)
 
 
 def periodogram(spec: ModelSpec, N: int, G: int) -> Periodogram:
@@ -119,7 +124,8 @@ class BraggWeightEstimate:
 def bragg_weight(spec: ModelSpec, k0, N_list, seeds=None) -> BraggWeightEstimate:
     """Finite-size point-mass weight at one wavenumber, ensemble-averaged for
     stochastic models (default seeds 1..50); the extrapolated limit is the
-    value at the largest window."""
+    value at the largest window.  Seeds x sites of the largest window are
+    bounded by the ensemble budget (ENSEMBLE_WORK_FACTOR window caps)."""
     k = as_wavenumber(k0)
     sizes = [int(N) for N in N_list]
     if not sizes:
@@ -134,6 +140,7 @@ def bragg_weight(spec: ModelSpec, k0, N_list, seeds=None) -> BraggWeightEstimate
         if not seed_list:
             raise ValueError("seed list must be nonempty for stochastic models")
     streams = [spec] if seed_list is None else [reseed(spec, s) for s in seed_list]
+    _check_ensemble_work(len(streams), 2 * sizes[-1] + 1)
     # One window per stream, at the largest N; every smaller N reads its centre.
     intensities = []  # [stream][size]
     for stream in streams:
@@ -179,8 +186,8 @@ class BinnedMeasure:
 
     def to_csv(self, path, output_format: str = "csv") -> None:
         edges = self.edges()
-        rows = zip(edges[:-1], edges[1:], self.masses)
-        write_table(Path(path), ["bin_lo", "bin_hi", "mass"], rows, output_format)
+        values = [edges[:-1], edges[1:], self.masses]
+        write_table(path, ["bin_lo", "bin_hi", "mass"], values, output_format)
 
 
 def binned_measure(pg: Periodogram, bins: int) -> BinnedMeasure:
@@ -270,12 +277,14 @@ def analytic_diffraction(spec: ModelSpec) -> SpectralMeasure:
 def ensemble_binned_masses(
     spec: ModelSpec, N: int, G: int, bins: int, seeds=DEFAULT_SEEDS
 ) -> np.ndarray:
-    """Binned periodogram masses; stochastic specs are averaged over seeds."""
+    """Binned periodogram masses; stochastic specs are averaged over seeds,
+    whose number times the 2N + 1 sites is bounded by the ensemble budget."""
     if not spec.is_stochastic:
         return binned_measure(periodogram(spec, N, G), bins).masses
     seed_list = tuple(seeds)
     if not seed_list:
         raise ValueError("seed list must be nonempty for stochastic models")
+    _check_ensemble_work(len(seed_list), 2 * N + 1)
     acc = np.zeros(bins)
     for s in seed_list:
         acc += binned_measure(periodogram(reseed(spec, s), N, G), bins).masses

@@ -364,6 +364,38 @@ class TestLagRangeCap:
         assert len(out.read_text().splitlines()) == 82
 
 
+class TestEnsembleBudget:
+    """Seeds x sites of an ensemble are bounded by 64 window caps (6400 sites at a cap of 100)."""
+
+    def test_seed_range_is_checked_before_it_is_expanded(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("DIFFCOMB_MAX_WINDOW", "100")
+        argv = ["bragg", "--model", COIN_JSON, "--k0", "1/2", "--N-list", "4",
+                "--seeds", "0:999999", "--out", str(tmp_path / "b.json")]
+        assert main(argv) == 2
+        assert "seed range '0:999999' holds 1000000 seeds" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv,work", [
+        (["bragg", "--model", COIN_JSON, "--k0", "1/2", "--N-list", "4,20", "--seeds", "1:200"],
+         "200 seeds x 41 sites"),
+        (["homometry", "--mode", "spectral", "--a", COIN_JSON, "--b", "rudin_shapiro",
+          "--N", "40", "--G", "64", "--bins", "16", "--seeds", "1:80"], "80 seeds x 81 sites"),
+    ])
+    def test_over_budget_exits_2(self, tmp_path, monkeypatch, capsys, argv, work):
+        monkeypatch.setenv("DIFFCOMB_MAX_WINDOW", "100")
+        assert main([*argv, "--out", str(tmp_path / "out.json")]) == 2
+        assert f"{work} exceed the ensemble budget of 6400 sites" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_ensemble_at_the_budget_runs(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("DIFFCOMB_MAX_WINDOW", "100")
+        out = tmp_path / "b.json"
+        argv = ["bragg", "--model", COIN_JSON, "--k0", "1/2", "--N-list", "4,12",
+                "--seeds", "1:256", "--out", str(out)]
+        assert main(argv) == 0
+        assert len(json.loads(out.read_text())["seeds"]) == 256
+
+
 class TestDefaultOut:
     @pytest.mark.parametrize("argv,name", [
         (["generate", "--model", "constant"], "generate.csv"),

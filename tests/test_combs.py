@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import diffcomb as dc
+from diffcomb import combs
 
 RS = dc.ModelSpec.rudin_shapiro()
 ALT = dc.ModelSpec.alternating()
@@ -292,3 +293,10 @@ class TestIndexUniforms:
         u = dc.index_uniforms(3, -10, 2**20 + 10)
         v = dc.index_uniforms(3, 2**20 - 5, 2**20 + 10)
         assert np.array_equal(u[-16:], v)
+
+    def test_small_chunks_match_one_chunk(self, monkeypatch):
+        # each chunk advances the stream to its own first index
+        whole = dc.index_uniforms(5, -40, 60)
+        monkeypatch.setattr(combs, "_CHUNK", 7)
+        assert np.array_equal(dc.index_uniforms(5, -40, 60), whole)
+        assert np.array_equal(dc.index_uniforms(5, -3, 4), whole[37:45])
