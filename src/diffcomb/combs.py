@@ -18,7 +18,9 @@ indices and index sums such as n + M stay exact in int64.
 
 from __future__ import annotations
 
+import itertools
 import os
+from collections.abc import Sized
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -76,13 +78,19 @@ def _ensemble_budget() -> int:
     return ENSEMBLE_WORK_FACTOR * max_window_length()
 
 
-def _check_ensemble_work(seeds: int, sites: int) -> None:
+def _ensemble_seeds(seeds, sites: int) -> tuple:
+    """The seeds as a tuple, once seeds x sites per seed is known to stay
+    within the ensemble budget: a sized argument is checked by len() before
+    it is expanded, an unsized one is drawn only up to one seed past it."""
     budget = _ensemble_budget()
-    if seeds * sites > budget:
+    if not isinstance(seeds, Sized):
+        seeds = tuple(itertools.islice(seeds, budget // sites + 1))
+    if len(seeds) * sites > budget:
         raise ResourceLimitError(
-            f"{seeds} seeds x {sites} sites exceed the ensemble budget of {budget} sites"
+            f"{len(seeds)} seeds x {sites} sites exceed the ensemble budget of {budget} sites"
             f" ({ENSEMBLE_WORK_FACTOR} window caps; raise {MAX_WINDOW_ENV} to allow it)"
         )
+    return tuple(seeds)
 
 
 def _check_probability(p) -> None:

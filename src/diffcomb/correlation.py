@@ -119,60 +119,63 @@ class RecursionCheckReport:
         }
 
 
-def _claimed_a(m: int) -> Fraction:
-    # Claimed correlation coefficients: 1 at lag 0, else 0.
-    return Fraction(1 if m == 0 else 0)
-
-
-def _claimed_b(m: int) -> Fraction:
-    # Claimed signed-average companion: identically 0.
-    return Fraction(0)
+def _claimed_pair(max_index: int) -> tuple[np.ndarray, np.ndarray]:
+    """Claimed pair on the lags -max_index..max_index, as integer arrays:
+    the correlation coefficients a (1 at lag 0, else 0) and their companion
+    b, the mean of (-1)**n w(n) w(n+t) (identically 0)."""
+    a = np.zeros(2 * max_index + 1, dtype=np.int64)
+    a[max_index] = 1
+    return a, np.zeros_like(a)
 
 
 def verify_rs_recursions(max_index: int) -> RecursionCheckReport:
-    """Check, in exact rationals, that the claimed Rudin-Shapiro correlation
+    """Check, in exact integers, that the claimed Rudin-Shapiro correlation
     pair (a = 1 at lag 0 and else 0, b = 0) satisfies the four-branch lag
     recursion system at every lag t with |t| <= max_index.
 
-    Each t is written t = 4m + l with Euclidean remainder l in {0,1,2,3},
-    and both the a- and b-equations of that branch are evaluated with
-    Fraction arithmetic; any inequality is recorded as a violation.  The
-    window cap bounds the 2 * max_index + 1 lags.
+    Each t is written t = 4m + l with Euclidean remainder l in {0,1,2,3}.
+    Every coefficient of the branches is a quarter-integer, so both the a-
+    and b-equations are compared as 4 * lhs against 4 * rhs in int64 arrays,
+    one branch (every fourth lag) at a time; any inequality is recorded as a
+    violation, its values as Fractions.  The window cap bounds the
+    2 * max_index + 1 lags.
     """
     if max_index < 1:
         raise ValueError(f"max_index must be >= 1, got {max_index}")
     _check_window_length(2 * max_index + 1)
-    quarter = Fraction(1, 4)
-    half = Fraction(1, 2)
-    violations: list[dict] = []
-    checked = 0
-    for t in range(-max_index, max_index + 1):
-        l = t % 4
+    a, b = _claimed_pair(max_index)
+    found = []  # (t, system, 4 * lhs, 4 * rhs) of every violated equation
+    for l in range(4):
+        first = (max_index + l) % 4  # index of the first lag t = 4m + l
+        t = np.arange(first - max_index, max_index + 1, 4)
         m = (t - l) // 4
-        s = 1 if m % 2 == 0 else -1  # (-1)**m, sign only
-        a_m = _claimed_a(m)
-        a_m1 = _claimed_a(m + 1)
-        b_m = _claimed_b(m)
-        b_m1 = _claimed_b(m + 1)
+        s = 1 - 2 * (m & 1)  # (-1)**m
+        # m and m + 1 lie in [-max_index, max_index], so both index the claimed arrays.
+        a_m, a_m1 = a[m + max_index], a[m + 1 + max_index]
+        b_m, b_m1 = b[m + max_index], b[m + 1 + max_index]
+        zero = np.zeros_like(m)
         if l == 0:
-            a_rhs = Fraction(1 + s, 2) * a_m
-            b_rhs = Fraction(0)
+            rhs = (2 * (1 + s) * a_m, zero)
         elif l == 1:
-            a_rhs = Fraction(1 - s, 4) * a_m + Fraction(s, 4) * b_m - quarter * b_m1
-            b_rhs = Fraction(1 - s, 4) * a_m - Fraction(s, 4) * b_m + quarter * b_m1
+            rhs = ((1 - s) * a_m + s * b_m - b_m1, (1 - s) * a_m - s * b_m + b_m1)
         elif l == 2:
-            a_rhs = Fraction(0)
-            b_rhs = Fraction(s, 2) * b_m + half * b_m1
+            rhs = (zero, 2 * s * b_m + 2 * b_m1)
         else:
-            a_rhs = Fraction(1 + s, 4) * a_m1 - Fraction(s, 4) * b_m + quarter * b_m1
-            b_rhs = -Fraction(1 + s, 4) * a_m1 - Fraction(s, 4) * b_m + quarter * b_m1
-        for system, lhs, rhs in (("a", _claimed_a(t), a_rhs), ("b", _claimed_b(t), b_rhs)):
-            checked += 1
-            if lhs != rhs:
-                violations.append(
-                    {"system": system, "t": t, "claimed": str(lhs), "recursion": str(rhs)}
-                )
-    return RecursionCheckReport(max_index, checked, violations)
+            rhs = ((1 + s) * a_m1 - s * b_m + b_m1, -(1 + s) * a_m1 - s * b_m + b_m1)
+        for system, claimed, scaled_rhs in zip("ab", (a, b), rhs):
+            scaled_lhs = 4 * claimed[first::4]
+            for i in np.flatnonzero(scaled_lhs != scaled_rhs):
+                found.append((int(t[i]), system, int(scaled_lhs[i]), int(scaled_rhs[i])))
+    violations = [  # by lag, the a-equation first
+        {
+            "system": system,
+            "t": t,
+            "claimed": str(Fraction(lhs, 4)),
+            "recursion": str(Fraction(rhs, 4)),
+        }
+        for t, system, lhs, rhs in sorted(found)
+    ]
+    return RecursionCheckReport(max_index, 2 * (2 * max_index + 1), violations)
 
 
 # ── Comparison (homometry in correlation form) ─────────────────────────────

@@ -11,7 +11,7 @@ import numpy as np
 from ._util import round12, write_table
 from .combs import ModelSpec, _check_probability, generate_window
 
-# Horner packing of subwords into int64 codes caps the word space.
+# Subword spaces beyond this many words are refused.
 _MAX_CODE = 1 << 62
 
 
@@ -31,21 +31,37 @@ def exact_entropy(spec: ModelSpec) -> float:
     return 0.0
 
 
-def _subword_codes(weights: np.ndarray, max_length: int):
-    """Yield, for L = 1..max_length in turn, the codes of every length-L
-    subword, each packed into one integer (Horner over the alphabet observed
-    in the window).  Length L extends the codes of length L-1 by one digit."""
-    _, inverse = np.unique(weights, return_inverse=True)
-    alphabet_size = int(inverse.max()) + 1
-    if alphabet_size**max_length > _MAX_CODE:
-        raise ValueError(
-            f"subword space {alphabet_size}**{max_length} exceeds the packing limit 2**62"
-        )
-    codes = inverse.astype(np.int64, copy=False)
-    yield codes
-    for L in range(2, max_length + 1):
-        codes = codes[:-1] * alphabet_size + inverse[L - 1 :]
-        yield codes
+def _subword_ranks(weights: np.ndarray, max_length: int):
+    """Yield, for L = 1..max_length in turn, the pair (ranks, size): the dense
+    lexicographic rank of every length-L subword among the size distinct
+    ones of the window, over the alphabet observed in it.
+
+    Length L+1 keys each subword by its length-L prefix rank and last digit,
+    rank * a + digit, which orders the keys lexicographically; the keys are
+    ranked by marking them in a table of size * a entries, or by sorting when
+    that table would be larger than the keys themselves."""
+    alphabet, digits = np.unique(weights, return_inverse=True)
+    a = alphabet.size
+    if a**max_length > _MAX_CODE:
+        raise ValueError(f"subword space {a}**{max_length} exceeds the packing limit 2**62")
+    ranks, size = digits, a
+    yield ranks, size
+    for L in range(1, max_length):
+        key = ranks[:-1] * a
+        key += digits[L:]
+        if size * a > key.size:
+            distinct, ranks = np.unique(key, return_inverse=True)
+            size = distinct.size
+        else:
+            seen = np.zeros(size * a, dtype=bool)
+            seen[key] = True
+            rank_of_key = np.cumsum(seen)
+            rank_of_key -= 1
+            # Every key is below size * a, so clipping never acts; it lets
+            # numpy overwrite the keys with their ranks without a buffer.
+            ranks = np.take(rank_of_key, key, out=key, mode="clip")
+            size = int(rank_of_key[-1]) + 1
+        yield ranks, size
 
 
 def block_entropy(spec: ModelSpec, N: int, k: int) -> float:
@@ -65,10 +81,11 @@ def block_entropy(spec: ModelSpec, N: int, k: int) -> float:
             f"window of {size} sites is too small for k={k}; need at least {100 * 2**k}"
         )
     w = generate_window(spec, -N, N).weights
-    for codes in _subword_codes(w, k):  # one length alive at a time; keeps length k
+    for ranks, distinct in _subword_ranks(w, k):  # one length alive at a time; keeps length k
         pass
-    _, counts = np.unique(codes, return_counts=True)
-    probabilities = counts / codes.size
+    # Counts in lexicographic order of the subwords, as np.unique would list them.
+    counts = np.bincount(ranks, minlength=distinct)
+    probabilities = counts / ranks.size
     return float(-(probabilities * np.log(probabilities)).sum() / k)
 
 
@@ -118,15 +135,17 @@ def patch_complexity(spec: ModelSpec, N: int, L_max: int) -> PatchComplexity:
             f"window of {2 * N + 1} sites is too small for L_max={L_max};"
             f" need at least {100 * L_max}"
         )
-    # Codes on the doubled window [-2N, 2N]; the subwords of [-N, N] are the
+    # Ranks on the doubled window [-2N, 2N]; the subwords of [-N, N] are the
     # ones starting at positions N..3N+1-L.
     w_doubled = generate_window(spec, -2 * N, 2 * N).weights
     entries = []
     saturated = []
-    for L, codes in enumerate(_subword_codes(w_doubled, L_max), start=1):
-        count = np.unique(codes[N : 3 * N + 2 - L]).size
+    for L, (ranks, size) in enumerate(_subword_ranks(w_doubled, L_max), start=1):
+        seen = np.zeros(size, dtype=bool)
+        seen[ranks[N : 3 * N + 2 - L]] = True
+        count = int(np.count_nonzero(seen))
         entries.append((L, count))
-        saturated.append(count == np.unique(codes).size)
+        saturated.append(count == size)
     return PatchComplexity(N, entries, saturated)
 
 

@@ -18,8 +18,8 @@ from ._util import round12, write_table
 from .combs import (
     ModelSpec,
     WeightWindow,
-    _check_ensemble_work,
     _check_window_length,
+    _ensemble_seeds,
     generate_window,
     reseed,
 )
@@ -136,11 +136,10 @@ def bragg_weight(spec: ModelSpec, k0, N_list, seeds=None) -> BraggWeightEstimate
         raise ValueError("N_list must be strictly increasing")
     seed_list: tuple[int, ...] | None = None
     if spec.is_stochastic:
-        seed_list = DEFAULT_SEEDS if seeds is None else tuple(seeds)
+        seed_list = _ensemble_seeds(DEFAULT_SEEDS if seeds is None else seeds, 2 * sizes[-1] + 1)
         if not seed_list:
             raise ValueError("seed list must be nonempty for stochastic models")
     streams = [spec] if seed_list is None else [reseed(spec, s) for s in seed_list]
-    _check_ensemble_work(len(streams), 2 * sizes[-1] + 1)
     # One window per stream, at the largest N; every smaller N reads its centre.
     intensities = []  # [stream][size]
     for stream in streams:
@@ -281,10 +280,9 @@ def ensemble_binned_masses(
     whose number times the 2N + 1 sites is bounded by the ensemble budget."""
     if not spec.is_stochastic:
         return binned_measure(periodogram(spec, N, G), bins).masses
-    seed_list = tuple(seeds)
+    seed_list = _ensemble_seeds(seeds, 2 * N + 1)
     if not seed_list:
         raise ValueError("seed list must be nonempty for stochastic models")
-    _check_ensemble_work(len(seed_list), 2 * N + 1)
     acc = np.zeros(bins)
     for s in seed_list:
         acc += binned_measure(periodogram(reseed(spec, s), N, G), bins).masses

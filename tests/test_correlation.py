@@ -1,9 +1,13 @@
 """Autocorrelation estimators, closed forms, and the exact recursion check."""
 
+import json
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 import diffcomb as dc
+import diffcomb.correlation
 from test_combs import ALT, RS, catalogue
 
 
@@ -19,6 +23,51 @@ def naive_autocorrelation(spec, N, M):
             s += win.value(n) * win.value(n + m)
         eta.append(s / size)
     return np.concatenate([eta[:0:-1], eta])
+
+
+def fraction_recursion_check(max_index, claimed_a, claimed_b):
+    """The recursion check as a scalar loop in Fraction arithmetic, over any
+    claimed pair given as functions of the lag; returns the report's JSON."""
+    quarter = Fraction(1, 4)
+    half = Fraction(1, 2)
+    violations = []
+    checked = 0
+    for t in range(-max_index, max_index + 1):
+        l = t % 4
+        m = (t - l) // 4
+        s = 1 if m % 2 == 0 else -1
+        a_m, a_m1 = Fraction(claimed_a(m)), Fraction(claimed_a(m + 1))
+        b_m, b_m1 = Fraction(claimed_b(m)), Fraction(claimed_b(m + 1))
+        if l == 0:
+            a_rhs = Fraction(1 + s, 2) * a_m
+            b_rhs = Fraction(0)
+        elif l == 1:
+            a_rhs = Fraction(1 - s, 4) * a_m + Fraction(s, 4) * b_m - quarter * b_m1
+            b_rhs = Fraction(1 - s, 4) * a_m - Fraction(s, 4) * b_m + quarter * b_m1
+        elif l == 2:
+            a_rhs = Fraction(0)
+            b_rhs = Fraction(s, 2) * b_m + half * b_m1
+        else:
+            a_rhs = Fraction(1 + s, 4) * a_m1 - Fraction(s, 4) * b_m + quarter * b_m1
+            b_rhs = -Fraction(1 + s, 4) * a_m1 - Fraction(s, 4) * b_m + quarter * b_m1
+        for system, lhs, rhs in (
+            ("a", Fraction(claimed_a(t)), a_rhs),
+            ("b", Fraction(claimed_b(t)), b_rhs),
+        ):
+            checked += 1
+            if lhs != rhs:
+                violations.append(
+                    {"system": system, "t": t, "claimed": str(lhs), "recursion": str(rhs)}
+                )
+    return {"max_index": max_index, "checked": checked, "violations": violations}
+
+
+def rs_claimed_a(t):
+    return 1 if t == 0 else 0
+
+
+def rs_claimed_b(t):
+    return 0
 
 
 class TestEmpiricalAutocorrelation:
@@ -161,6 +210,32 @@ class TestRecursionVerification:
         with pytest.raises(dc.ResourceLimitError):
             dc.verify_rs_recursions(51)
         assert dc.verify_rs_recursions(50).passed
+
+    @pytest.mark.parametrize("max_index", [1, 2, 3, 8, 1024, 4097])
+    def test_matches_fraction_oracle(self, max_index):
+        expected = fraction_recursion_check(max_index, rs_claimed_a, rs_claimed_b)
+        assert json.dumps(dc.verify_rs_recursions(max_index).to_json()) == json.dumps(expected)
+
+    @pytest.mark.parametrize("max_index", [5, 8, 37])
+    @pytest.mark.parametrize("pair", ["shifted", "random"])
+    def test_wrong_pair_violations_match_fraction_oracle(self, monkeypatch, max_index, pair):
+        # "shifted": a = 1 at lags 0 and 5, b = 1 at lag 3; "random": small
+        # integers at every lag, so every term of every branch is exercised
+        lags = np.arange(-max_index, max_index + 1)
+        if pair == "shifted":
+            a = np.isin(lags, (0, 5)).astype(np.int64)
+            b = (lags == 3).astype(np.int64)
+        else:
+            rng = np.random.default_rng(max_index)
+            a, b = rng.integers(-3, 4, size=(2, lags.size))
+        monkeypatch.setattr(diffcomb.correlation, "_claimed_pair", lambda n: (a, b))
+        report = dc.verify_rs_recursions(max_index)
+        expected = fraction_recursion_check(
+            max_index, lambda t: int(a[t + max_index]), lambda t: int(b[t + max_index])
+        )
+        assert not report.passed
+        # as text, so key order and the Python types of the values count too
+        assert json.dumps(report.to_json()) == json.dumps(expected)
 
 
 class TestCompareAutocorrelations:

@@ -5,8 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import diffcomb as dc
+from diffcomb.order import _subword_ranks
 from test_combs import ALT, RS
 
 # calibrated: distinct Rudin-Shapiro subword counts grow by exactly 8 per
@@ -22,6 +25,52 @@ def counter_block_entropy(spec, N, k):
     )
     total = sum(words.values())
     return -sum(c / total * math.log(c / total) for c in words.values()) / k
+
+
+def horner_codes(weights, max_length):
+    """Yield every length-L subword packed into one int64 (Horner over the
+    observed alphabet) for L = 1..max_length; codes sort lexicographically."""
+    _, inverse = np.unique(weights, return_inverse=True)
+    alphabet_size = int(inverse.max()) + 1
+    codes = inverse.astype(np.int64)
+    yield codes
+    for L in range(2, max_length + 1):
+        codes = codes[:-1] * alphabet_size + inverse[L - 1 :]
+        yield codes
+
+
+def horner_patch_complexity(spec, N, L_max):
+    """Distinct Horner codes on [-N, N] (the slice from N of the doubled
+    window) and on [-2N, 2N], counted by np.unique."""
+    w = dc.generate_window(spec, -2 * N, 2 * N).weights
+    entries, saturated = [], []
+    for L, codes in enumerate(horner_codes(w, L_max), start=1):
+        count = np.unique(codes[N : 3 * N + 2 - L]).size
+        entries.append((L, count))
+        saturated.append(count == np.unique(codes).size)
+    return entries, saturated
+
+
+def horner_block_entropy(spec, N, k):
+    """Plug-in entropy from np.unique counts of the length-k Horner codes."""
+    *_, codes = horner_codes(dc.generate_window(spec, -N, N).weights, k)
+    _, counts = np.unique(codes, return_counts=True)
+    probabilities = counts / codes.size
+    return float(-(probabilities * np.log(probabilities)).sum() / k)
+
+
+def set_patch_complexity(spec, N, L_max):
+    """Entries and saturation flags from sets of subword tuples of [-N, N]
+    and of [-2N, 2N]."""
+
+    def distinct(first, last, L):
+        w = dc.generate_window(spec, first, last).weights.tolist()
+        return len({tuple(w[i : i + L]) for i in range(len(w) - L + 1)})
+
+    lengths = range(1, L_max + 1)
+    inner = [distinct(-N, N, L) for L in lengths]
+    doubled = [distinct(-2 * N, 2 * N, L) for L in lengths]
+    return list(zip(lengths, inner)), [a == b for a, b in zip(inner, doubled)]
 
 
 class TestBernoulliEntropy:
@@ -141,16 +190,47 @@ class TestPatchComplexity:
         rng = np.random.default_rng(4)
         spec = dc.ModelSpec.periodic(rng.choice([-1.0, 0.5, 2.0], size=800))
         N, L_max = 300, 6
-
-        def distinct(first, last, L):
-            w = dc.generate_window(spec, first, last).weights.tolist()
-            return len({tuple(w[i : i + L]) for i in range(len(w) - L + 1)})
-
         pc = dc.patch_complexity(spec, N, L_max)
-        lengths = range(1, L_max + 1)
-        assert pc.entries == [(L, distinct(-N, N, L)) for L in lengths]
-        assert pc.saturated == [distinct(-N, N, L) == distinct(-2 * N, 2 * N, L) for L in lengths]
+        assert (pc.entries, pc.saturated) == set_patch_complexity(spec, N, L_max)
         assert pc.saturated[0] and not pc.saturated[-1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        values=st.integers(2, 5),
+        period=st.integers(1, 2000),
+        seed=st.integers(0, 2**32 - 1),
+        L_max=st.integers(1, 8),
+        scale=st.integers(50, 120),
+    )
+    @example(values=5, period=2000, seed=0, L_max=8, scale=50)  # sorted ranking from L = 5
+    def test_counts_flags_and_entropy_match_horner_oracle(self, values, period, seed, L_max, scale):
+        # periods up to 2000 against windows of 201..3841 sites reach both the
+        # rank table (few distinct subwords) and the sorted ranking (many)
+        digits = np.random.default_rng(seed).integers(0, values, size=period)
+        spec = dc.ModelSpec.periodic(tuple(digits - 1.5))
+        N = scale * L_max
+        # the ranks are the dense ranks of the Horner codes, in the same order
+        w = dc.generate_window(spec, -2 * N, 2 * N).weights
+        for (ranks, size), codes in zip(_subword_ranks(w, L_max), horner_codes(w, L_max)):
+            distinct, inverse = np.unique(codes, return_inverse=True)
+            assert size == distinct.size and np.array_equal(ranks, inverse)
+        pc = dc.patch_complexity(spec, N, L_max)
+        assert (pc.entries, pc.saturated) == horner_patch_complexity(spec, N, L_max)
+        N_k = 50 * 2**L_max
+        assert dc.block_entropy(spec, N_k, L_max) == horner_block_entropy(spec, N_k, L_max)
+
+    @pytest.mark.parametrize("period", [100, 700])
+    def test_many_values_match_set_oracle(self, period):
+        # 100 values: from L = 2 on, a rank table of size * 100 entries would
+        # exceed the 1200 subwords of the doubled window, so they are sorted;
+        # period 100 saturates at every length, period 700 does not
+        pattern = np.random.default_rng(5).permutation(period) % 100 - 49.5
+        spec = dc.ModelSpec.periodic(tuple(pattern))
+        N, L_max = 300, 4
+        pc = dc.patch_complexity(spec, N, L_max)
+        assert (pc.entries, pc.saturated) == set_patch_complexity(spec, N, L_max)
+        assert pc.count(1) == 100 and pc.all_saturated == (period == 100)
+        assert dc.block_entropy(spec, N, 2) == horner_block_entropy(spec, N, 2)
 
     def test_stochastic_model_rejected(self):
         with pytest.raises(ValueError):

@@ -152,6 +152,34 @@ class TestBraggWeight:
             )
 
 
+class TestEnsembleBudget:
+    """Seeds x sites of an ensemble are bounded before the seeds are expanded."""
+
+    COIN = dc.ModelSpec.bernoulli(0.5, 1)
+
+    def test_huge_seed_range_rejected_at_once(self):
+        with pytest.raises(dc.ResourceLimitError, match="10000000000 seeds x 9 sites"):
+            dc.bragg_weight(self.COIN, 0, [4], seeds=range(10**10))
+        with pytest.raises(dc.ResourceLimitError, match="10000000000 seeds x 9 sites"):
+            dc.ensemble_binned_masses(self.COIN, 4, 8, 4, seeds=range(10**10))
+
+    def test_unsized_seeds_drawn_up_to_one_past_the_budget(self, monkeypatch):
+        # a cap of 100 allows 6400 sites: 711 seeds of 9 sites
+        monkeypatch.setenv(dc.MAX_WINDOW_ENV, "100")
+        drawn = []
+
+        def endless():
+            while True:
+                drawn.append(None)
+                yield len(drawn)
+
+        with pytest.raises(dc.ResourceLimitError, match="712 seeds x 9 sites"):
+            dc.bragg_weight(self.COIN, 0, [4], seeds=endless())
+        assert len(drawn) == 712
+        masses = dc.ensemble_binned_masses(self.COIN, 4, 8, 4, seeds=iter(range(711)))
+        assert masses.shape == (4,)
+
+
 class TestBinnedMeasure:
     def test_masses_sum_to_grid_mean(self):
         for spec in catalogue(seed=8):
