@@ -41,7 +41,6 @@ from .order import (
 from .products import (
     ProductAutocorrelation,
     ProductSpectralMeasure,
-    ProductWindow,
     product_autocorrelation,
     product_diffraction,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "Periodogram",
     "ProductAutocorrelation",
     "ProductSpectralMeasure",
-    "ProductWindow",
     "RecursionCheckReport",
     "ResourceLimitError",
     "SpectralComparison",

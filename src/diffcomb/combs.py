@@ -82,15 +82,20 @@ def _ensemble_seeds(seeds, sites: int) -> tuple:
     """The seeds as a tuple, once seeds x sites per seed is known to stay
     within the ensemble budget: a sized argument is checked by len() before
     it is expanded, an unsized one is drawn only up to one seed past it."""
-    budget = _ensemble_budget()
     if not isinstance(seeds, Sized):
-        seeds = tuple(itertools.islice(seeds, budget // sites + 1))
-    if len(seeds) * sites > budget:
+        seeds = tuple(itertools.islice(seeds, _ensemble_budget() // sites + 1))
+    _check_work(len(seeds), "seeds", sites, "ensemble")
+    return tuple(seeds)
+
+
+def _check_work(count: int, unit: str, sites: int, kind: str) -> None:
+    """Refuse count passes of sites each beyond ENSEMBLE_WORK_FACTOR window caps."""
+    budget = _ensemble_budget()
+    if count * sites > budget:
         raise ResourceLimitError(
-            f"{len(seeds)} seeds x {sites} sites exceed the ensemble budget of {budget} sites"
+            f"{count} {unit} x {sites} sites exceed the {kind} budget of {budget} sites"
             f" ({ENSEMBLE_WORK_FACTOR} window caps; raise {MAX_WINDOW_ENV} to allow it)"
         )
-    return tuple(seeds)
 
 
 def _check_probability(p) -> None:

@@ -48,11 +48,30 @@ class Autocorrelation:
         write_table(path, ["m", "eta"], [self.lags(), self.eta], output_format)
 
 
+def _pm1_lag_sums(x: np.ndarray, size: int, M: int) -> np.ndarray:
+    """Exact int64 sums of x[i] x[i + m] over i < size, m = 0..M, for a +-1
+    array x of length size + M: size - 2 popcount(core XOR shifted) over the
+    sign bits packed into little-endian words, each bit shift built once."""
+    width = -(-size // 64)  # words covering the core
+    bits = np.packbits(x < 0, bitorder="little")
+    words = np.pad(bits, (0, 8 * (width + M // 64 + 1) - bits.size)).view("<u8")
+    tail = (1 << (size % 64 or 64)) - 1  # the core's bits in its last word
+    sums = np.empty(M + 1, dtype=np.int64)
+    for r in range(min(M, 63) + 1):
+        shifted = words if r == 0 else (words[:-1] >> r) | (words[1:] << 64 - r)
+        for m in range(r, M + 1, 64):  # the lags that shift by r bits
+            diff = words[:width] ^ shifted[m // 64 : m // 64 + width]
+            diff[-1] &= tail
+            sums[m] = size - 2 * int(np.bitwise_count(diff).sum())
+    return sums
+
+
 def empirical_autocorrelation(spec: ModelSpec, N: int, M: int) -> Autocorrelation:
     """Windowed correlation estimate of a model at lags up to M.
 
     Needs indices [-N-M, N+M]; the window cap therefore applies to
-    2N + 2M + 1, not 2N + 1.
+    2N + 2M + 1, not 2N + 1.  A +-1 model's lag sums are counted in exact
+    integers, the values its float products sum to below 2**53 sites.
     """
     if N < 1:
         raise ValueError(f"window half-size N must be positive, got {N}")
@@ -60,13 +79,12 @@ def empirical_autocorrelation(spec: ModelSpec, N: int, M: int) -> Autocorrelatio
         raise ValueError(f"max lag M must be nonnegative, got {M}")
     w = generate_window(spec, -N - M, N + M).weights
     size = 2 * N + 1
-    core = w[M : M + size]
-    eta = np.empty(2 * M + 1)
-    for m in range(M + 1):
-        value = float(core @ w[M + m : M + m + size]) / size
-        eta[M + m] = value
-        eta[M - m] = value
-    return Autocorrelation(M, eta, window_half_size=N)
+    if spec.is_binary:
+        sums = _pm1_lag_sums(w[M:], size, M)
+    else:
+        sums = np.array([w[M : M + size] @ w[M + m : M + m + size] for m in range(M + 1)])
+    half = sums / size
+    return Autocorrelation(M, np.concatenate((half[:0:-1], half)), window_half_size=N)
 
 
 def analytic_autocorrelation(spec: ModelSpec, M: int) -> Autocorrelation:

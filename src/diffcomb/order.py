@@ -9,10 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import round12, write_table
-from .combs import ModelSpec, _check_probability, generate_window
-
-# Subword spaces beyond this many words are refused.
-_MAX_CODE = 1 << 62
+from .combs import ModelSpec, _check_probability, _check_window_length, _check_work, generate_window
 
 
 def bernoulli_entropy(p: float) -> float:
@@ -39,11 +36,10 @@ def _subword_ranks(weights: np.ndarray, max_length: int):
     Length L+1 keys each subword by its length-L prefix rank and last digit,
     rank * a + digit, which orders the keys lexicographically; the keys are
     ranked by marking them in a table of size * a entries, or by sorting when
-    that table would be larger than the keys themselves."""
+    that table would be larger than the keys themselves.  Ranks stay below
+    the window length, so keys stay below its square and fit in int64."""
     alphabet, digits = np.unique(weights, return_inverse=True)
     a = alphabet.size
-    if a**max_length > _MAX_CODE:
-        raise ValueError(f"subword space {a}**{max_length} exceeds the packing limit 2**62")
     ranks, size = digits, a
     yield ranks, size
     for L in range(1, max_length):
@@ -123,7 +119,8 @@ class PatchComplexity:
 
 
 def patch_complexity(spec: ModelSpec, N: int, L_max: int) -> PatchComplexity:
-    """Count distinct subwords of a deterministic model up to length L_max."""
+    """Count distinct subwords of a deterministic model up to length L_max;
+    L_max passes over the 4N + 1 sites of the doubled window are budgeted."""
     if spec.is_stochastic:
         raise ValueError("patch counting needs a deterministic model")
     if L_max < 1:
@@ -135,6 +132,8 @@ def patch_complexity(spec: ModelSpec, N: int, L_max: int) -> PatchComplexity:
             f"window of {2 * N + 1} sites is too small for L_max={L_max};"
             f" need at least {100 * L_max}"
         )
+    _check_window_length(4 * N + 1)
+    _check_work(L_max, "lengths", 4 * N + 1, "work")
     # Ranks on the doubled window [-2N, 2N]; the subwords of [-N, N] are the
     # ones starting at positions N..3N+1-L.
     w_doubled = generate_window(spec, -2 * N, 2 * N).weights

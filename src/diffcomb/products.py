@@ -12,25 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import round12, write_table
-from .combs import WeightWindow, _check_window_length
+from .combs import _check_window_length
 from .correlation import Autocorrelation
 from .spectra import SpectralMeasure
-
-
-@dataclass(eq=False)
-class ProductWindow:
-    """Rectangular window of a product comb, stored by its two factors."""
-
-    factors: tuple[WeightWindow, WeightWindow]
-
-    def weight(self, n1: int, n2: int) -> float:
-        a, b = self.factors
-        return a.value(n1) * b.value(n2)
-
-    def dense(self) -> np.ndarray:
-        """Materialise the full rectangle; meant for small windows."""
-        a, b = self.factors
-        return np.outer(a.weights, b.weights)
 
 
 @dataclass(eq=False)

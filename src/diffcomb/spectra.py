@@ -69,8 +69,12 @@ def periodogram(spec: ModelSpec, N: int, G: int) -> Periodogram:
 def direct_intensity(window: WeightWindow, k: float) -> float:
     """I(k) of one window by direct summation at a single wavenumber."""
     n = window.indices()
-    amplitude = np.sum(window.weights * np.exp(-2j * np.pi * k * n))
-    return float(np.abs(amplitude) ** 2) / len(window)
+    return _intensity(np.sum(window.weights * np.exp(-2j * np.pi * k * n)), len(window))
+
+
+def _intensity(amplitude, length: int) -> float:
+    """|amplitude|^2 / length: the intensity of a window's phase sum."""
+    return float(np.abs(amplitude) ** 2) / length
 
 
 # ── Bragg peak weight along growing windows ────────────────────────────────
@@ -140,11 +144,15 @@ def bragg_weight(spec: ModelSpec, k0, N_list, seeds=None) -> BraggWeightEstimate
         if not seed_list:
             raise ValueError("seed list must be nonempty for stochastic models")
     streams = [spec] if seed_list is None else [reseed(spec, s) for s in seed_list]
-    # One window per stream, at the largest N; every smaller N reads its centre.
+    # Phase vector and windows at the largest N only; each N sums the centre of their product.
+    top = sizes[-1]
+    _check_window_length(2 * top + 1)
+    phase = np.exp(-2j * np.pi * k * np.arange(-top, top + 1))
     intensities = []  # [stream][size]
     for stream in streams:
-        window = generate_window(stream, -sizes[-1], sizes[-1])
-        intensities.append([direct_intensity(window.restrict(-N, N), k) for N in sizes])
+        terms = generate_window(stream, -top, top).weights * phase
+        amplitudes = [np.sum(terms[top - N : top + N + 1]) for N in sizes]
+        intensities.append([_intensity(a, 2 * N + 1) for N, a in zip(sizes, amplitudes)])
     entries = [
         (N, float(np.mean([row[j] for row in intensities])) / (2 * N + 1))
         for j, N in enumerate(sizes)

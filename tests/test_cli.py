@@ -349,6 +349,7 @@ class TestLagRangeCap:
         ["autocorr", "--model", "rudin_shapiro", "--analytic", "--M", "10000000000"],
         ["product", "--a", "rudin_shapiro", "--b", "alternating", "--M", "5"],
         ["verify-rs", "--max", "50"],
+        ["bragg", "--model", "rudin_shapiro", "--k0", "0", "--N-list", f"4,{2**61}"],
     ])
     def test_exits_2_with_cap_message(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.setenv("DIFFCOMB_MAX_WINDOW", "100")
@@ -385,6 +386,14 @@ class TestEnsembleBudget:
         monkeypatch.setenv("DIFFCOMB_MAX_WINDOW", "100")
         assert main([*argv, "--out", str(tmp_path / "out.json")]) == 2
         assert f"{work} exceed the ensemble budget of 6400 sites" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_patch_count_over_budget_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("DIFFCOMB_MAX_WINDOW", "20000")
+        argv = ["complexity", "--model", "alternating", "--N", "4999", "--L-max", "65",
+                "--out", str(tmp_path / "c.csv")]
+        assert main(argv) == 2
+        assert "65 lengths x 19997 sites exceed the work budget" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
     def test_ensemble_at_the_budget_runs(self, tmp_path, monkeypatch):

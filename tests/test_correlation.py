@@ -5,9 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import diffcomb as dc
 import diffcomb.correlation
+from diffcomb.correlation import _pm1_lag_sums
 from test_combs import ALT, RS, catalogue
 
 
@@ -23,6 +26,17 @@ def naive_autocorrelation(spec, N, M):
             s += win.value(n) * win.value(n + m)
         eta.append(s / size)
     return np.concatenate([eta[:0:-1], eta])
+
+
+def dot_autocorrelation(spec, N, M):
+    """One float dot product per lag over the extended window, mirrored."""
+    w = dc.generate_window(spec, -N - M, N + M).weights
+    size = 2 * N + 1
+    core = w[M : M + size]
+    eta = np.empty(2 * M + 1)
+    for m in range(M + 1):
+        eta[M + m] = eta[M - m] = float(core @ w[M + m : M + m + size]) / size
+    return eta
 
 
 def fraction_recursion_check(max_index, claimed_a, claimed_b):
@@ -78,6 +92,23 @@ class TestEmpiricalAutocorrelation:
                 got = dc.empirical_autocorrelation(spec, N, 8)
                 assert np.array_equal(got.eta, naive_autocorrelation(spec, N, 8))
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            dc.ModelSpec.constant(-1.0),
+            dc.ModelSpec.periodic((1.0, -1.0, -1.0, 1.0, -1.0)),
+            dc.ModelSpec.bernoullised(RS, 0.25, 3),
+            dc.ModelSpec.constant(0.5),
+            dc.ModelSpec.periodic((0.5, 2.0, -1.0, 1.0)),
+        ],
+    )
+    def test_matches_dot_product_oracle_bitwise(self, spec):
+        # +-1 models take the integer kernel, the others the dot products;
+        # both give the float dot-product coefficients bit for bit
+        for N, M in ((31, 0), (32, 64), (100, 130), (2**12, 200)):
+            got = dc.empirical_autocorrelation(spec, N, M)
+            assert np.array_equal(got.eta, dot_autocorrelation(spec, N, M))
+
     def test_matches_naive_oracle_on_real_weights(self):
         spec = dc.ModelSpec.periodic((0.5, 2.0, -1.0))
         got = dc.empirical_autocorrelation(spec, 40, 10)
@@ -129,6 +160,30 @@ class TestEmpiricalAutocorrelation:
             expected[M] = 1.0
             bound = 8.0 / np.sqrt(K * (2 * N + 1))
             assert np.max(np.abs(acc - expected)) <= bound
+
+
+class TestLagSumKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        words=st.integers(1, 4),
+        edge=st.sampled_from([-1, 0, 1]),
+        M=st.integers(0, 200),
+        negative=st.sampled_from([0.0, 0.5, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(words=1, edge=0, M=64, negative=1.0, seed=0)  # r = 0 one word on, tail all set
+    @example(words=2, edge=-1, M=129, negative=0.5, seed=1)  # every bit offset, 3 word offsets
+    @example(words=1, edge=-1, M=0, negative=1.0, seed=2)  # lag 0 only
+    def test_matches_literal_double_sums(self, words, edge, M, negative, seed):
+        # cores of 64k - 1, 64k and 64k + 1 sites; the signs past the core
+        # fill the tail word, which the kernel must mask
+        size = 64 * words + edge
+        rng = np.random.default_rng(seed)
+        x = np.where(rng.random(size + M) < negative, -1.0, 1.0)
+        signs = x.astype(int).tolist()
+        expected = [sum(signs[i] * signs[i + m] for i in range(size)) for m in range(M + 1)]
+        got = _pm1_lag_sums(x, size, M)
+        assert got.dtype == np.int64 and got.tolist() == expected
 
 
 class TestAnalyticAutocorrelation:

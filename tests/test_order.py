@@ -138,10 +138,13 @@ class TestBlockEntropy:
         with pytest.raises(ValueError):
             dc.block_entropy(RS, 100, 8)
 
-    def test_packing_limit(self):
-        with pytest.raises(ValueError) as err:
-            dc.patch_complexity(RS, 3200, 63)
-        assert "packing" in str(err.value)
+    def test_79_values_at_length_10_match_counter_oracle(self):
+        # 79**10 subwords exceed 2**62: the key space is large, the ranks are not
+        pattern = np.random.default_rng(6).permutation(79) - 39.5
+        spec = dc.ModelSpec.periodic(tuple(pattern))
+        got = dc.block_entropy(spec, 51200, 10)
+        assert got == pytest.approx(counter_block_entropy(spec, 51200, 10), rel=1e-12)
+        assert got == pytest.approx(math.log(79) / 10, rel=1e-6)
 
     def test_invalid_block_length(self):
         with pytest.raises(ValueError):
@@ -231,6 +234,20 @@ class TestPatchComplexity:
         assert (pc.entries, pc.saturated) == set_patch_complexity(spec, N, L_max)
         assert pc.count(1) == 100 and pc.all_saturated == (period == 100)
         assert dc.block_entropy(spec, N, 2) == horner_block_entropy(spec, N, 2)
+
+    def test_rudin_shapiro_to_length_63_matches_set_oracle(self):
+        pc = dc.patch_complexity(RS, 3200, 63)
+        assert (pc.entries, pc.saturated) == set_patch_complexity(RS, 3200, 63)
+        assert [c for _, c in pc.entries[:16]] == RS_PATCH_COUNTS
+
+    def test_lengths_times_doubled_window_within_work_budget(self, monkeypatch):
+        # a cap of 20000 allows 1280000 sites: 64 lengths of 19997, not 65
+        monkeypatch.setenv(dc.MAX_WINDOW_ENV, "20000")
+        assert len(dc.patch_complexity(ALT, 4999, 64).entries) == 64
+        with pytest.raises(dc.ResourceLimitError, match="65 lengths x 19997 sites exceed"):
+            dc.patch_complexity(ALT, 4999, 65)
+        with pytest.raises(dc.ResourceLimitError, match="window of length 20001 exceeds the cap"):
+            dc.patch_complexity(ALT, 5000, 1)
 
     def test_stochastic_model_rejected(self):
         with pytest.raises(ValueError):

@@ -23,25 +23,6 @@ def direct_product_autocorrelation(spec_a, spec_b, N, M):
     return eta
 
 
-class TestProductWindow:
-    def test_weight_and_dense_agree(self):
-        win = dc.ProductWindow(
-            (dc.generate_window(RS, -4, 4), dc.generate_window(ALT, -4, 4))
-        )
-        dense = win.dense()
-        assert dense.shape == (9, 9)
-        for n1 in range(-4, 5):
-            for n2 in range(-4, 5):
-                assert win.weight(n1, n2) == dense[n1 + 4, n2 + 4]
-
-    def test_out_of_window_lookup(self):
-        win = dc.ProductWindow(
-            (dc.generate_window(RS, -2, 2), dc.generate_window(ALT, -2, 2))
-        )
-        with pytest.raises(ValueError):
-            win.weight(3, 0)
-
-
 class TestProductAutocorrelation:
     def test_matches_two_dimensional_oracle(self):
         pairs = [

@@ -1,5 +1,7 @@
 """Periodograms, point-mass estimates, binned measures, and closed forms."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -122,16 +124,26 @@ class TestBraggWeight:
         est = dc.bragg_weight(dc.ModelSpec.bernoulli(0.5, 1), 0, [2**8, 2**10], seeds=range(1, 11))
         assert est.growth == "continuous"
 
-    def test_ensemble_matches_windows_regenerated_per_size(self):
-        spec = dc.ModelSpec.bernoullised(RS, 0.25, 1)
-        sizes, seeds, k = [16, 64, 256], (4, 5, 6), 1 / 3
-        est = dc.bragg_weight(spec, k, sizes, seeds)
+    @pytest.mark.parametrize("k0", [0, "1/2", "1/3", math.sqrt(2) - 1])
+    @pytest.mark.parametrize(
+        "spec, seeds", [(RS, None), (dc.ModelSpec.bernoullised(RS, 0.25, 1), (4, 5, 6))]
+    )
+    def test_ensemble_matches_windows_regenerated_per_size(self, spec, seeds, k0):
+        # one shared phase vector and centred sums give direct_intensity's bits
+        sizes, k = [5, 64, 300], dc.as_wavenumber(k0)
+        est = dc.bragg_weight(spec, k0, sizes, seeds)
+        streams = [spec] if seeds is None else [dc.reseed(spec, s) for s in seeds]
         expected = []
         for N in sizes:
-            windows = [dc.generate_window(dc.reseed(spec, s), -N, N) for s in seeds]
+            windows = [dc.generate_window(stream, -N, N) for stream in streams]
             intensity = float(np.mean([dc.direct_intensity(w, k) for w in windows]))
             expected.append((N, intensity / (2 * N + 1)))
         assert est.entries == expected
+
+    def test_oversized_window_refused_before_the_phase_vector(self):
+        # an arange of 2**62 + 1 sites would fail with numpy's size error instead
+        with pytest.raises(dc.ResourceLimitError, match="exceeds the cap"):
+            dc.bragg_weight(RS, 0, [4, 2**61])
 
     def test_single_size_is_indeterminate(self):
         est = dc.bragg_weight(ALT, "1/2", [256])
