@@ -1,9 +1,15 @@
-"""Shared output helpers: 12-significant-digit numbers, CSV/JSON tables."""
+"""Shared output helpers: 12-significant-digit numbers, CSV/JSON tables.
+
+fmt, round12 and _json_float are the scalar rules for one cell.  write_table
+writes whole columns with the same bytes: integers by digit passes, floats
+from 12 digits computed for all of a column's distinct values at once, with
+the scalar rule kept for the values that arithmetic does not settle.
+"""
 
 from __future__ import annotations
 
 import json
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -69,17 +75,139 @@ def _int_text(column, lo: int, hi: int):
     return text
 
 
-def _float_text(column, cell):
+# Magnitudes the digit arithmetic handles: 10**k stays finite and normal, and
+# round12 of the value is a normal float.
+_TINY, _HUGE = 1e-280, 1e280
+_POWER_RANGE = 300
+
+
+@cache
+def _tables():
+    """The float formatter's lookup tables, built on first use: 10**k, correctly
+    rounded, for |k| <= _POWER_RANGE at k + _POWER_RANGE; the four ASCII digits
+    of each of 0..9999 as one uint32 (two digit pairs side by side); and the
+    three digits of each exponent below 1000 in three rows, with the hundreds'
+    zero left 0 below 100."""
+    powers = np.array([float(f"1e{k}") for k in range(-_POWER_RANGE, _POWER_RANGE + 1)])
+    pairs = (np.arange(100)[:, None] // [10, 1] % 10 + ord("0")).astype(np.uint8)
+    quads = np.concatenate(np.broadcast_arrays(pairs[:, None], pairs), axis=2)
+    quads = quads.view(np.uint32).ravel()
+    exponents = (np.arange(1000) // np.array([[100], [10], [1]]) % 10 + ord("0")).astype(np.uint8)
+    exponents[0, :100] = 0
+    return powers, quads, exponents
+
+
+def _twelve_digits(a):
+    """For magnitudes a in [_TINY, _HUGE): D in [10**11, 10**12) and the exponent e with
+    D * 10**(e - 11) = a rounded half-even to 12 significant digits (D as an integral
+    float64, e as int16), and a mask of the values whose rounding is left undecided.
+
+    y = a * 10**(11 - e) lies in [10**11, 10**12] and carries at most two roundings,
+    so it is within (2u + u**2) y < 2**-52 * 1.0001e12 < 2**-12 of the true value
+    (u = 2**-53): a y farther than 2**-12 from floor(y) + 0.5 rounds as the true
+    value does.  The values nearer to it, exact ties among them, are undecided.
+    """
+    powers = _tables()[0]
+    e = np.floor(np.log10(a)).astype(np.int64)  # may be one off next to a power of ten
+    y = a * powers[_POWER_RANGE + 11 - e]
+    e += (y >= 1e12).astype(np.int64) - (y < 1e11)
+    y = a * powers[_POWER_RANGE + 11 - e]
+    digits = np.floor(y)
+    gap = y - (digits + 0.5)  # exact (Sterbenz)
+    digits += gap > 0
+    carry = digits == 1e12
+    digits[carry] = 1e11
+    return digits, (e + carry).astype(np.int16), np.abs(gap) <= 2.0**-12
+
+
+def _float_layout(negative, digits, e, json_style: bool):
+    """Text of the values (-1)**negative * D * 10**(e - 11), in the layout of format(x, ".12g")
+    (CSV) or of repr (JSON), as a (values, width) byte matrix whose unused bytes are 0.
+
+    Every value has the same slots: sign, "0." and up to three zeros before a
+    fraction below 1, then the digits, each followed by a point slot (digits past
+    the 12 of D are padding zeros), then "e", sign and up to three exponent
+    digits.  A slot holds its character or 0.  Each slot is built as one byte
+    array over the values, and the slots that no value uses are left out.
+    """
+    _, quads, exponents = _tables()
+    fixed = (e >= -4) & (e < (16 if json_style else 12))
+    # D as three groups of four digits; the divisions are exact or far from an integer.
+    high = np.floor(digits / 1e8)
+    middle = np.floor((digits - high * 1e8) / 1e4)
+    low = digits - high * 1e8 - middle * 1e4
+    # Row j holds digit j of D, most significant first.
+    column = np.take(quads, np.stack([high, middle, low]).astype(np.intp)).view(np.uint8)
+    column = np.ascontiguousarray(column.reshape(3, -1, 4).transpose(0, 2, 1)).reshape(12, -1)
+    significant = np.full(e.size, 12, dtype=np.int8)  # D without its trailing zeros
+    trailing = np.ones(e.size, dtype=bool)
+    for j in range(11, 0, -1):
+        trailing &= column[j] == ord("0")
+        significant -= trailing
+    # Digits written: the significant ones, the integer part, and ".0" in JSON.
+    shown = np.where(fixed, np.maximum(significant, e + 1 + json_style), significant)
+    shown = shown.astype(np.int8)
+    point = np.where(fixed, e, 0).astype(np.int8)  # the digit the point follows, if any
+    point[shown <= point + 1] = -1
+
+    def char(c):
+        return np.uint8(ord(c))
+
+    slots = [negative * char("-")]
+    lead = fixed & (e < 0)
+    if lead.any():
+        slots += [lead * char("0"), lead * char(".")]
+        slots += [(lead & (e < -1 - i)) * char("0") for i in range(3)]
+    for j in range(int(shown.max())):
+        slots += [(shown > j) * (column[j] if j < 12 else char("0")), (point == j) * char(".")]
+    sci = ~fixed
+    if sci.any():
+        power = np.abs(e).astype(np.intp)
+        slots += [sci * char("e"), sci * (char("+") + (e < 0) * np.uint8(2))]
+        slots += [sci * np.take(exponents[i], power) for i in range(3)]
+    return np.stack([slot for slot in slots if slot.any()], axis=1)
+
+
+def _float_text(column, json_style: bool):
     """Text of a float column as a function of a row range [lo, hi), in the form of _int_text.
 
-    Each distinct bit pattern is formatted once with `cell`; the texts are
-    left-aligned in one fixed-width byte table that the rows gather by their
-    inverse index, so equal values (the +-1 weights, say) cost one call.
+    Each distinct bit pattern is formatted once, and the rows gather their texts
+    by the inverse index, so equal values (the +-1 weights, say) cost one
+    format.  The distinct values are formatted together, every finite one in
+    [_TINY, _HUGE) from its 12 digits (_twelve_digits, _float_layout).  Only
+    the rest goes through the scalar rule, fmt (CSV) or _json_float (JSON):
+    0, NaN, +-inf, extreme magnitudes, undecided roundings and, in CSV, the
+    integral values in [1e12, 1e15), which fmt writes whole (below 1e12 the
+    two texts agree).
     """
     bits = np.ascontiguousarray(column, dtype=np.float64).view(np.int64)
     distinct, inverse = np.unique(bits, return_inverse=True)
-    texts = np.array([cell(x) for x in distinct.view(np.float64).tolist()], dtype="S")
-    return lambda lo, hi: texts[inverse[lo:hi]].view(np.uint8).reshape(hi - lo, texts.itemsize)
+    x = distinct.view(np.float64)
+    magnitude = np.abs(x)
+    rows = np.flatnonzero((magnitude >= _TINY) & (magnitude < _HUGE))
+    if not json_style:
+        a = magnitude[rows]
+        rows = rows[(a < 1e12) | (a >= 1e15) | (np.floor(a) != a)]
+    digits, e, undecided = _twelve_digits(magnitude[rows])
+    rows, settled = rows[~undecided], ~undecided
+    scalar = np.ones(x.size, dtype=bool)
+    scalar[rows] = False
+    scalar = np.flatnonzero(scalar)
+    parts = []
+    if rows.size:
+        parts.append((rows, _float_layout(x[rows] < 0, digits[settled], e[settled], json_style)))
+    if scalar.size:
+        cell = _json_float if json_style else fmt
+        texts = np.array([cell(value) for value in x[scalar].tolist()], dtype="S")
+        parts.append((scalar, texts.view(np.uint8).reshape(scalar.size, -1)))
+    width = max(part.shape[1] for _, part in parts)
+    row = np.dtype((np.void, width))
+    table = np.zeros(x.size, dtype=row)
+    for rows, part in parts:
+        padded = np.zeros((rows.size, width), dtype=np.uint8)
+        padded[:, : part.shape[1]] = part
+        table[rows] = padded.view(row)[:, 0]
+    return lambda lo, hi: table[inverse[lo:hi]].view(np.uint8).reshape(hi - lo, width)
 
 
 def write_table(path, columns: list[str], values, output_format: str = "csv") -> None:
@@ -91,14 +219,15 @@ def write_table(path, columns: list[str], values, output_format: str = "csv") ->
     of _CHUNK_ROWS rows is assembled as one byte buffer and written at once:
     a (rows, width) matrix of the cells' texts between fixed separator bytes,
     of which the nonzero bytes are kept (the text is ASCII, so 0 is never a
-    character).  Any other column dtype (bool, complex, object for integers
-    beyond 64 bits) raises TypeError before the file is opened.
+    character, and a cell may leave 0 bytes anywhere in its slots).  Any other
+    column dtype (bool, complex, object for integers beyond 64 bits) raises
+    TypeError before the file is opened.
     """
     if output_format == "csv":
-        cell, empty = fmt, ",".join(columns) + "\n"
+        empty = ",".join(columns) + "\n"
         head, tail, cell_sep, row_open, row_close, row_sep = empty, "\n", ",", "", "", "\n"
     elif output_format == "json":
-        cell, empty = _json_float, json.dumps({"columns": columns, "rows": []}, indent=2) + "\n"
+        empty = json.dumps({"columns": columns, "rows": []}, indent=2) + "\n"
         # The layout of json.dumps(indent=2): a row at 4 spaces, its cells at 6.
         head, tail = empty[: -len("[]\n}\n")] + "[\n", "\n  ]\n}\n"
         cell_sep, row_open, row_close, row_sep = ",\n      ", "    [\n      ", "\n    ]", ",\n"
@@ -118,8 +247,8 @@ def write_table(path, columns: list[str], values, output_format: str = "csv") ->
     # The fixed bytes before, between and after the cells of a row.
     seps = [np.frombuffer(sep.encode("ascii"), dtype=np.uint8)
             for sep in [row_open] + [cell_sep] * (len(columns) - 1) + [row_close + row_sep]]
-    cells = [partial(_int_text, column) if column.dtype.kind in "iu" else _float_text(column, cell)
-             for column in values]
+    cells = [partial(_int_text, column) if column.dtype.kind in "iu"
+             else _float_text(column, output_format == "json") for column in values]
     with Path(path).open("wb") as handle:
         handle.write(head.encode("ascii"))
         for lo in range(0, rows, _CHUNK_ROWS):

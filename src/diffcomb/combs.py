@@ -166,7 +166,7 @@ class ModelSpec:
         if self.pattern is not None:
             if not self.pattern:
                 raise ValueError("pattern must be nonempty")
-            if not all(np.isfinite(x) for x in self.pattern):
+            if not np.isfinite(self.pattern).all():
                 raise ValueError("pattern entries must be finite")
         if self.p is not None:
             _check_probability(self.p)
@@ -366,21 +366,6 @@ class WeightWindow:
     def indices(self) -> np.ndarray:
         return np.arange(self.first, self.last + 1)
 
-    def value(self, n: int) -> float:
-        if not self.first <= n <= self.last:
-            raise ValueError(f"index {n} outside window [{self.first}, {self.last}]")
-        return float(self.weights[n - self.offset])
-
-    def restrict(self, first: int, last: int) -> "WeightWindow":
-        if first > last:
-            raise ValueError(f"empty window: first={first} > last={last}")
-        if first < self.first or last > self.last:
-            raise ValueError(
-                f"restriction [{first}, {last}] exceeds window [{self.first}, {self.last}]"
-            )
-        lo = first - self.offset
-        return WeightWindow(first, self.weights[lo : lo + (last - first + 1)].copy())
-
     @property
     def is_binary(self) -> bool:
         return bool(np.all(np.abs(self.weights) == 1.0))
@@ -392,8 +377,9 @@ class WeightWindow:
 def generate_window(spec: ModelSpec, first: int, last: int) -> WeightWindow:
     """Weights of a model on [first, last].
 
-    Stochastic variants are reproducible per (seed, index): restricting a
-    window and generating the restriction directly give identical arrays.
+    Stochastic variants are reproducible per (seed, index): for any sub-range
+    [lo, hi], the slice full.weights[lo - first : hi - first + 1] of a window and
+    the window generated on [lo, hi] directly are identical arrays.
     """
     if first > last:
         raise ValueError(f"empty window: first={first} > last={last}")

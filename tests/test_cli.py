@@ -97,6 +97,18 @@ class TestGenerate:
         assert main(["generate", "--model", model, "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("model", [
+        '{"model": "periodic", "pattern": [1, NaN]}',
+        '{"model": "periodic", "pattern": [1, -Infinity]}',
+        '{"model": "constant", "w": Infinity}',
+    ])
+    def test_non_finite_weight_exits_2(self, tmp_path, capsys, model):
+        """Python's json accepts NaN and +-Infinity; the model check refuses them."""
+        out = tmp_path / "w.csv"
+        assert main(["generate", "--model", model, "--out", str(out)]) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("first,last", [(2**62 - 2, 2**62), (-(2**62), -(2**62) + 3)])
     def test_index_outside_lattice_domain_exits_2(self, tmp_path, first, last):
         out = tmp_path / "w.csv"

@@ -133,7 +133,7 @@ class TestGenerateWindow:
     def test_periodic_anchored_at_zero(self):
         win = dc.generate_window(dc.ModelSpec.periodic((5.0, 6.0, 7.0)), -4, 4)
         assert list(win.weights) == [7, 5, 6, 7, 5, 6, 7, 5, 6]
-        assert win.value(0) == 5.0
+        assert win.weights[-win.first] == 5.0  # n = 0
 
     def test_rudin_shapiro_window(self):
         win = dc.generate_window(RS, 0, 7)
@@ -218,7 +218,7 @@ class TestWindowConsistency:
             full = dc.generate_window(spec, first, last)
             direct = dc.generate_window(spec, sub_first, sub_last)
             assert np.array_equal(
-                full.restrict(sub_first, sub_last).weights, direct.weights
+                full.weights[sub_first - first : sub_last - first + 1], direct.weights
             )
 
     def test_disjoint_chunks_tile_one_window(self):
@@ -255,19 +255,18 @@ class TestBernoullise:
 
 
 class TestWeightWindow:
-    def test_value_and_bounds(self):
+    def test_indices_and_bounds(self):
+        """Entry i holds w(offset + i), for the indices first..last."""
         win = dc.WeightWindow(-2, np.array([5.0, 6.0, 7.0]))
         assert win.first == -2 and win.last == 0
-        assert win.value(-1) == 6.0
-        with pytest.raises(ValueError):
-            win.value(1)
+        assert dict(zip(win.indices().tolist(), win.weights.tolist())) == {-2: 5.0, -1: 6.0, 0: 7.0}
 
-    def test_restrict_bounds(self):
-        win = dc.generate_window(RS, -10, 10)
-        with pytest.raises(ValueError):
-            win.restrict(-11, 0)
-        with pytest.raises(ValueError):
-            win.restrict(3, 2)
+    def test_slices_at_the_window_edges_equal_direct_generation(self):
+        spec = dc.ModelSpec.bernoullised(RS, 0.4, 11)
+        full = dc.generate_window(spec, -10, 10)
+        for lo, hi in ((-10, -10), (-10, 0), (3, 10), (10, 10), (-10, 10)):
+            part = full.weights[lo - full.first : hi - full.first + 1]
+            assert np.array_equal(part, dc.generate_window(spec, lo, hi).weights)
 
     def test_csv_export(self, tmp_path):
         win = dc.generate_window(ALT, -1, 2)

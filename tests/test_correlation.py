@@ -18,12 +18,13 @@ def naive_autocorrelation(spec, N, M):
     """Literal double-loop estimator over the extended window, mirrored to
     negative lags exactly like the production contract."""
     win = dc.generate_window(spec, -N - M, N + M)
+    w = dict(zip(win.indices().tolist(), win.weights.tolist()))  # w[n] is the weight at n
     size = 2 * N + 1
     eta = []
     for m in range(M + 1):
         s = 0.0
         for n in range(-N, N + 1):
-            s += win.value(n) * win.value(n + m)
+            s += w[n] * w[n + m]
         eta.append(s / size)
     return np.concatenate([eta[:0:-1], eta])
 

@@ -2,6 +2,7 @@
 
 import json
 import tempfile
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,12 @@ from diffcomb._util import fmt, round12, write_table
 FORMATS = ("csv", "json")
 
 EDGES = [0.0, -0.0, float("nan"), float("inf"), float("-inf"), 5e-324, 2.0**53,
-         999999999999.0, 1e12, 1e15 - 1, 1e15, 123456789012345.0, 0.1, 1 / 3]
+         999999999999.0, 1e12, 1e15 - 1, 1e15, 123456789012345.0, 0.1, 1 / 3,
+         # Layout boundaries, a rounding carry into the next power of ten, exact
+         # 12th-digit ties on the dyadic grid (one rounds up, one down) and
+         # elsewhere, all left to the scalar rule, and the guard magnitudes.
+         1e-4, 1e-5, 9.99999999999995e-05, 999999999999.5, 1e16, 7 / 65536, 9 / 65536,
+         1.234567890125e-20, 1e-280, 1e280, 2.2250738585072014e-308]
 
 # -2**63 has no int64 magnitude, the powers of ten change the digit count,
 # and 2**31 is the first magnitude past int32.
@@ -151,3 +157,67 @@ def test_columns_must_match_names(tmp_path):
     with pytest.raises(ValueError, match="one column"):
         write_table(tmp_path / "t.csv", ["n", "w"], [np.arange(3)])
     assert not any(tmp_path.iterdir())
+
+
+def cell_texts(x, output_format):
+    """The writer's text of each value of a float column, through its per-column formatter."""
+    rows = _util._float_text(np.asarray(x, dtype=np.float64), output_format == "json")(0, len(x))
+    return [bytes(row[row != 0]).decode("ascii") for row in rows]
+
+
+def neighbours(x):
+    x = np.asarray(x, dtype=np.float64)
+    return np.concatenate([x, np.nextafter(x, 0), np.nextafter(x, np.inf), -x])
+
+
+def ties(count, exponents, seed):
+    """13-digit decimals DDDDDDDDDDDD5 * 10**e, half-way between two 12-digit ones, as floats."""
+    rng = np.random.default_rng(seed)
+    digits = rng.integers(10**11, 10**12, count).tolist()
+    return [float(f"{d}5e{e}") for d, e in zip(digits, rng.choice(exponents, count).tolist())]
+
+
+FORMATTER_EDGES = {
+    # The floats nearest 12th-digit half-way points at exponents -45..59, and
+    # their neighbours one ulp away: at and next to the margin of the float product.
+    "half-way": neighbours(ties(3000, np.arange(-45, 60), 1)),
+    "powers-of-ten": neighbours([float(f"1e{k}") for k in range(-323, 309)]),
+    "layout-boundaries": neighbours(
+        [1e-4, 1e-5, 9.99999999999995e-05, 9.999999999995e-06, 999999999999.5, 1e12 - 1,
+         1e12, 1e15 - 1, 1e15, 1e15 + 2, 999999999999999.9, 1e16, 1e16 - 2, 1e16 + 2,
+         9999999999999998.0]),
+    "dyadic-grid": np.arange(65537) / 65536,
+    "guard-magnitudes": neighbours([1e-280, 1e280, 1.5e-280, 9.9e279]),
+    # Quiet and signalling NaNs with payloads, and the infinities: no RuntimeWarning may leak.
+    "nans-and-infinities": np.array(
+        [0x7FF8000000000000, 0x7FF0000000000001, 0xFFF4000000000123, 0x7FFFFFFFFFFFFFFF,
+         0x7FF0000000000000, 0xFFF0000000000000], dtype=np.uint64).view(np.float64),
+    "subnormals-and-zeros": np.concatenate(
+        [[0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308],
+         np.random.default_rng(2).integers(1, 2**52, 200).view(np.float64)]),
+}
+
+
+@pytest.mark.parametrize("output_format", FORMATS)
+@pytest.mark.parametrize("name", FORMATTER_EDGES)
+def test_each_cell_matches_the_scalar_rule(output_format, name):
+    """Every cell equals fmt (CSV) or _json_float (JSON) of its value, compared directly."""
+    x = FORMATTER_EDGES[name]
+    cell = fmt if output_format == "csv" else _util._json_float
+    assert cell_texts(x, output_format) == [cell(value) for value in x.tolist()]
+
+
+@pytest.mark.parametrize("output_format", FORMATS)
+def test_only_guarded_values_take_the_scalar_rule(monkeypatch, output_format):
+    """On the j/65536 grid the scalar rule gets 0 and the 4601 exact 12th-digit
+    ties (13 significant digits, the last a 5), which the float product cannot
+    settle, and no other value."""
+    scalar = []
+    for name in ("fmt", "_json_float"):
+        rule = getattr(_util, name)
+        monkeypatch.setattr(_util, name, lambda x, rule=rule: scalar.append(x) or rule(x))
+    grid = FORMATTER_EDGES["dyadic-grid"]
+    cell_texts(grid, output_format)
+    ties = [x for x in grid.tolist() if x and Decimal(x).normalize().as_tuple().digits[12:] == (5,)]
+    assert len(ties) == 4601
+    assert scalar == [0.0] + ties
