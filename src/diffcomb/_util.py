@@ -44,9 +44,12 @@ def _int_text(column, lo: int, hi: int):
     (rows, D + 1) byte matrix whose unused bytes are 0.
 
     The magnitude is taken in uint64, where negation wraps to the exact value
-    (so -2**63 is written), and narrowed to int32 when it fits.  Each of the
-    D divmod passes by 10 writes one digit column and counts one more digit
-    for the rows whose quotient is still nonzero; the sign goes in front.
+    (so -2**63 is written), and narrowed to int32 when it fits.  The digits
+    are written into a digit-major (D + 1, rows) matrix, one row per floor
+    division by 10 (digit = m - 10 * (m // 10), numpy's fast path for a
+    scalar divisor).  Its leading zeros are then blanked one row at a time,
+    the sign going into the row before each value's first digit, and the
+    transposed view is returned.
     """
     column = column[lo:hi]
     if column.dtype.kind == "u":
@@ -60,19 +63,22 @@ def _int_text(column, lo: int, hi: int):
     width = len(str(top)) + 1
     if top < 2**31:
         magnitude = magnitude.astype(np.int32)
-    text = np.empty((column.size, width), dtype=np.uint8)
-    length = negative + 1  # the sign byte, if any, and the first digit
+    text = np.empty((width, column.size), dtype=np.uint8)
+    text[0] = 0
     for j in range(width - 1, 0, -1):
-        magnitude, text[:, j] = np.divmod(magnitude, 10)
-        length += magnitude > 0
-    text += ord("0")
-    start = width - length
-    signed = np.flatnonzero(negative)
-    text[signed, start[signed]] = ord("-")
-    # Row k of `kept` is 0 before column k and 1 from it; each row gathers one as a single item.
-    kept = np.triu(np.ones((width, width), dtype=np.uint8))
-    text *= kept.view(np.dtype((np.void, width)))[start].view(np.uint8)
-    return text
+        quotient = magnitude // 10
+        np.subtract(magnitude, quotient * 10, out=text[j], casting="unsafe")
+        magnitude = quotient
+    sign = negative.view(np.uint8) * np.uint8(ord("-"))
+    blank = np.ones(column.size, dtype=bool)  # digit rows 1..j - 1 are all zero
+    for j in range(1, width - 1):
+        still = blank & (text[j] == 0)
+        text[j - 1] |= sign * (blank ^ still)  # row j holds the first digit
+        text[j] |= np.uint8(ord("0")) * ~still
+        blank = still
+    text[width - 2] |= sign * blank
+    text[width - 1] += ord("0")
+    return text.T
 
 
 # Magnitudes the digit arithmetic handles: 10**k stays finite and normal, and
@@ -168,12 +174,38 @@ def _float_layout(negative, digits, e, json_style: bool):
     return np.stack([slot for slot in slots if slot.any()], axis=1)
 
 
+# A float column with at most this many distinct bit patterns is deduplicated
+# without a sort (the +-1 weights have two).
+_FEW_DISTINCT = 4
+
+
+def _distinct(bits):
+    """np.unique(bits, return_inverse=True) of a nonempty int64 array, without
+    its sort when bits holds at most _FEW_DISTINCT values: each equality pass
+    drops the rows of one value, and the next value is the first row left.  The
+    few values are sorted and each row's index counts the values it is at or above.
+    """
+    found, other = [bits[0]], bits != bits[0]
+    # other[0] is False, so argmax is 0 only when no row is left.
+    while (at := other.argmax()) and len(found) < _FEW_DISTINCT:
+        found.append(bits[at])
+        other &= bits != found[-1]
+    if at:
+        return np.unique(bits, return_inverse=True)
+    distinct = np.sort(np.array(found, dtype=bits.dtype))
+    inverse = np.zeros(bits.size, dtype=np.intp)
+    for value in distinct[1:]:
+        inverse += bits >= value
+    return distinct, inverse
+
+
 def _float_text(column, json_style: bool):
     """Text of a float column as a function of a row range [lo, hi), in the form of _int_text.
 
     Each distinct bit pattern is formatted once, and the rows gather their texts
     by the inverse index, so equal values (the +-1 weights, say) cost one
-    format.  The distinct values are formatted together, every finite one in
+    format; a column of a few values finds them without a sort (_distinct).
+    The distinct values are formatted together, every finite one in
     [_TINY, _HUGE) from its 12 digits (_twelve_digits, _float_layout).  Only
     the rest goes through the scalar rule, fmt (CSV) or _json_float (JSON):
     0, NaN, +-inf, extreme magnitudes, undecided roundings and, in CSV, the
@@ -181,7 +213,7 @@ def _float_text(column, json_style: bool):
     two texts agree).
     """
     bits = np.ascontiguousarray(column, dtype=np.float64).view(np.int64)
-    distinct, inverse = np.unique(bits, return_inverse=True)
+    distinct, inverse = _distinct(bits)
     x = distinct.view(np.float64)
     magnitude = np.abs(x)
     rows = np.flatnonzero((magnitude >= _TINY) & (magnitude < _HUGE))

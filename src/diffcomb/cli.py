@@ -59,11 +59,19 @@ def _load_model(text: str) -> ModelSpec:
     """Model argument: inline JSON object, path to a JSON file, or a bare model name."""
     text = text.strip()
     if text.startswith("{"):
-        return ModelSpec.from_json(json.loads(text))
+        return _model_from_json(text)
     path = Path(text)
     if path.suffix == ".json" or path.is_file():
-        return ModelSpec.from_json(json.loads(path.read_text()))
+        return _model_from_json(path.read_text())
     return ModelSpec.from_json({"model": text})
+
+
+def _model_from_json(raw: str) -> ModelSpec:
+    # Both the decoder and ModelSpec.from_json recurse once per nested object.
+    try:
+        return ModelSpec.from_json(json.loads(raw))
+    except RecursionError:
+        raise ValueError("model JSON is nested too deeply") from None
 
 
 def _parse_seeds(text: str | None) -> tuple[int, ...] | None:

@@ -7,10 +7,12 @@ Bernoullisation of a deterministic sign sequence) read a counter-based random
 stream keyed by (seed, index), so two windows of the same model agree wherever
 their ranges overlap, no matter in which order or chunking they were produced.
 
-Stream contract, fixed per release: for seed s, lattice index n owns counter
-block n + 2**64 of a Philox generator keyed by s; the first 64-bit word of
-that block, mapped into [0, 1) as (word >> 11) * 2**-53, is the uniform
-variate for n.  A Bernoulli weight is +1 exactly when the variate is < p.
+Stream contract, fixed per release: for seed s, lattice index n reads the
+Philox4x64-10 block at counter 2**64 + n + 1 under the key (s, 0) (numpy's
+Philox, advanced by 2**64 + n, increments its counter before each block);
+the first 64-bit word of that block, mapped into [0, 1) as
+(word >> 11) * 2**-53, is the uniform variate for n.  A Bernoulli weight is
++1 exactly when the variate is < p.
 
 Lattice domain: every window lies inside |n| < 2**62 (LATTICE_BOUND), so
 indices and index sums such as n + M stay exact in int64.

@@ -76,6 +76,18 @@ class TestGenerate:
         code = main(["generate", "--model", '{"model": "constant", ', "--out", str(out)])
         assert code == 2 and not out.exists()
 
+    @pytest.mark.parametrize("source", ["inline", "file"])
+    def test_deeply_nested_model_json_exits_2(self, tmp_path, capsys, source):
+        """5000 nested bernoullised objects overflow the recursion limit while decoding."""
+        model = '{"model": "bernoullised", "base": ' * 5000 + RS_JSON + "}" * 5000
+        if source == "file":
+            (tmp_path / "deep.json").write_text(model)
+            model = str(tmp_path / "deep.json")
+        out = tmp_path / "w.csv"
+        assert main(["generate", "--model", model, "--out", str(out)]) == 2
+        assert "model JSON is nested too deeply" in capsys.readouterr().err
+        assert not out.exists() and not out.with_name("w.manifest.json").exists()
+
     def test_unknown_model_name(self, tmp_path):
         out = tmp_path / "w.csv"
         assert main(["generate", "--model", "penrose", "--out", str(out)]) == 2

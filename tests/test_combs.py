@@ -14,6 +14,29 @@ ALT = dc.ModelSpec.alternating()
 LATTICE_EDGE = 2**62 - 1
 
 
+# Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
+# SC 2011) with the Random123 multipliers and Weyl key increments.
+PHILOX_M0, PHILOX_M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
+PHILOX_W0, PHILOX_W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
+MASK64 = 2**64 - 1
+
+
+def philox_first_word(counter, key):
+    """First 64-bit word of the Philox4x64-10 block at a 256-bit counter, for a 128-bit key."""
+    c = [(counter >> (64 * i)) & MASK64 for i in range(4)]
+    k0, k1 = key & MASK64, key >> 64
+    for _ in range(10):
+        p0, p1 = PHILOX_M0 * c[0], PHILOX_M1 * c[2]
+        c = [(p1 >> 64) ^ c[1] ^ k0, p1 & MASK64, (p0 >> 64) ^ c[3] ^ k1, p0 & MASK64]
+        k0, k1 = (k0 + PHILOX_W0) & MASK64, (k1 + PHILOX_W1) & MASK64
+    return c[0]
+
+
+def stream_uniform(seed, n):
+    """The stream contract: index n reads counter block 2**64 + n + 1 under key (seed, 0)."""
+    return (philox_first_word(2**64 + n + 1, seed) >> 11) * 2.0**-53
+
+
 def catalogue(seed=1):
     """One spec per model family, binary where the family allows it."""
     return [
@@ -292,6 +315,15 @@ class TestIndexUniforms:
         u = dc.index_uniforms(3, -10, 2**20 + 10)
         v = dc.index_uniforms(3, 2**20 - 5, 2**20 + 10)
         assert np.array_equal(u[-16:], v)
+
+    @pytest.mark.parametrize("seed", [0, 5, 12345678901234567, 2**64 - 1])
+    def test_matches_independent_philox(self, seed):
+        """Single indices, and the same indices inside one window spanning several chunks."""
+        indices = [-70000, -65537, -1, 0, 1, 65535, 65536, 70000]
+        expected = [stream_uniform(seed, n) for n in indices]
+        assert [dc.index_uniforms(seed, n, n)[0] for n in indices] == expected
+        window = dc.index_uniforms(seed, -70000, 70000)
+        assert window[np.array(indices) + 70000].tolist() == expected
 
     def test_small_chunks_match_one_chunk(self, monkeypatch):
         # each chunk advances the stream to its own first index

@@ -159,6 +159,56 @@ def test_columns_must_match_names(tmp_path):
     assert not any(tmp_path.iterdir())
 
 
+# Bit patterns that are easy to confuse: both zeros, NaNs with different payloads
+# and signs, both infinities, and neighbouring floats.
+FEW_EDGES = np.array(
+    [0x0000000000000000, 0x8000000000000000, 0x7FF8000000000000, 0x7FF8000000000001,
+     0xFFF8000000000000, 0x7FF0000000000001, 0x7FF0000000000000, 0xFFF0000000000000,
+     0x3FF0000000000000, 0xBFF0000000000000, 0x3FF0000000000001, 0x0000000000000001],
+    dtype=np.uint64).view(np.int64)
+FEW_BITS = st.one_of(st.sampled_from(FEW_EDGES.tolist()), st.integers(-(2**63), 2**63 - 1))
+
+
+def few_valued(data, count, rows):
+    """A column of exactly `count` distinct bit patterns, each at least once, in random order."""
+    patterns = data.draw(st.lists(FEW_BITS, min_size=count, max_size=count, unique=True))
+    picks = data.draw(st.lists(st.integers(0, count - 1), min_size=rows - count, max_size=rows - count))
+    order = data.draw(st.permutations(list(range(count)) + picks))
+    return np.array(patterns, dtype=np.int64)[order]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), count=st.integers(1, 6), extra=st.integers(0, 30))
+def test_distinct_equals_unique(data, count, extra):
+    bits = few_valued(data, count, count + extra)
+    distinct, inverse = _util._distinct(bits)
+    expected, expected_inverse = np.unique(bits, return_inverse=True)
+    assert distinct.dtype == expected.dtype and inverse.dtype == expected_inverse.dtype
+    assert np.array_equal(distinct, expected) and np.array_equal(inverse, expected_inverse)
+
+
+@pytest.mark.parametrize("count", [_util._FEW_DISTINCT, _util._FEW_DISTINCT + 1])
+def test_distinct_sorts_only_past_a_few_values(monkeypatch, count):
+    """Up to _FEW_DISTINCT values are found without np.unique; one more falls back to it."""
+    bits = np.repeat(FEW_EDGES[:count], 3)[::-1].copy()
+    expected = np.unique(bits, return_inverse=True)
+    sorts = []
+    monkeypatch.setattr(np, "unique", lambda *args, **kwargs: sorts.append(1) or expected)
+    _util._distinct(bits)
+    assert len(sorts) == (count > _util._FEW_DISTINCT)
+
+
+@pytest.mark.parametrize("output_format", FORMATS)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), count=st.integers(1, 6), extra=st.integers(0, 30), chunk=st.integers(1, 8))
+def test_few_valued_column_over_chunks_matches_oracle(output_format, data, count, extra, chunk):
+    """A few-valued float column beside its index, written over several chunks."""
+    x = few_valued(data, count, count + extra).view(np.float64)
+    index = np.arange(-(x.size // 2), x.size - x.size // 2)
+    values = [index, x]
+    assert written(["n", "w"], values, output_format, chunk) == oracle(["n", "w"], values, output_format)
+
+
 def cell_texts(x, output_format):
     """The writer's text of each value of a float column, through its per-column formatter."""
     rows = _util._float_text(np.asarray(x, dtype=np.float64), output_format == "json")(0, len(x))
