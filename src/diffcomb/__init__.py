@@ -8,6 +8,7 @@ separable two-factor products.
 
 from .combs import (
     DEFAULT_SEED,
+    DEFAULT_SEEDS,
     MAX_WINDOW_ENV,
     ModelSpec,
     ResourceLimitError,
@@ -16,7 +17,6 @@ from .combs import (
     generate_window,
     index_uniforms,
     max_window_length,
-    reseed,
     rs_weight,
     rs_weights,
 )
@@ -45,7 +45,6 @@ from .products import (
     product_diffraction,
 )
 from .spectra import (
-    DEFAULT_SEEDS,
     BinnedMeasure,
     BraggWeightEstimate,
     Periodogram,
@@ -103,7 +102,6 @@ __all__ = [
     "periodogram",
     "product_autocorrelation",
     "product_diffraction",
-    "reseed",
     "rs_weight",
     "rs_weights",
     "spectral_homometry",

@@ -10,7 +10,8 @@ Numeric text output carries 12 significant digits, and reruns with identical
 configuration produce byte-identical data files.
 
 A model argument is a bare model name, an inline JSON object, or a path to a
-JSON file; w and p must be JSON numbers and pattern a list of numbers.
+JSON file; w and p must be JSON numbers and pattern a list of numbers, and a
+field the model does not take is refused.
 Lattice indices must satisfy |n| < 2**62.
 
 Exit codes: 0 success, 2 validation or resource error, 1 internal error.
@@ -30,13 +31,7 @@ import numpy as np
 
 from . import __version__
 from ._util import fmt, write_json
-from .combs import (
-    MAX_WINDOW_ENV,
-    ModelSpec,
-    ResourceLimitError,
-    _ensemble_budget,
-    generate_window,
-)
+from .combs import DEFAULT_SEEDS, ModelSpec, generate_window
 from .correlation import (
     analytic_autocorrelation,
     compare_autocorrelations,
@@ -46,7 +41,6 @@ from .correlation import (
 from .order import entropy_report, patch_complexity
 from .products import product_autocorrelation, product_diffraction
 from .spectra import (
-    DEFAULT_SEEDS,
     analytic_diffraction,
     binned_measure,
     bragg_weight,
@@ -74,8 +68,9 @@ def _model_from_json(raw: str) -> ModelSpec:
         raise ValueError("model JSON is nested too deeply") from None
 
 
-def _parse_seeds(text: str | None) -> tuple[int, ...] | None:
-    """Seed list: comma-separated integers, or an inclusive range 'a:b'."""
+def _parse_seeds(text: str | None) -> range | tuple[int, ...] | None:
+    """Seed list: comma-separated integers, or an inclusive range 'a:b' (a range,
+    so the ensemble budget counts its seeds without expanding it)."""
     if text is None:
         return None
     text = text.strip()
@@ -84,14 +79,7 @@ def _parse_seeds(text: str | None) -> tuple[int, ...] | None:
         first, last = int(lo), int(hi)
         if first > last:
             raise ValueError(f"empty seed range {text!r}")
-        # Every seed reads at least one site, so the range is checked before it is expanded.
-        count, budget = last - first + 1, _ensemble_budget()
-        if count > budget:
-            raise ResourceLimitError(
-                f"seed range {text!r} holds {count} seeds, more than the ensemble budget"
-                f" of {budget} sites (raise {MAX_WINDOW_ENV} to allow it)"
-            )
-        return tuple(range(first, last + 1))
+        return range(first, last + 1)
     seeds = tuple(int(part) for part in text.split(",") if part.strip())
     if not seeds:
         raise ValueError("seed list is empty")

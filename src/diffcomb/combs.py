@@ -16,30 +16,39 @@ the first 64-bit word of that block, mapped into [0, 1) as
 
 Lattice domain: every window lies inside |n| < 2**62 (LATTICE_BOUND), so
 indices and index sums such as n + M stay exact in int64.
+
+Seed ensembles: ensemble() makes one copy of a stochastic spec per seed,
+DEFAULT_SEEDS (1..50) when a run names none.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-from collections.abc import Sized
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ._util import write_table
 
-MODEL_NAMES = (
-    "constant",
-    "periodic",
-    "alternating",
-    "rudin_shapiro",
-    "bernoulli",
-    "bernoullised",
-)
-
 # Seed applied when a model JSON omits one.
 DEFAULT_SEED = 1
+# Ensemble seeds used when a stochastic run does not name its own.
+DEFAULT_SEEDS = tuple(range(1, 51))
+
+# The fields each model takes, in to_json order, each with the default that
+# from_json applies when the JSON omits it (None: the field is required).
+# A model is stochastic exactly when it takes a seed.
+_FIELDS = {
+    "constant": {"w": 1.0},
+    "periodic": {"pattern": None},
+    "alternating": {},
+    "rudin_shapiro": {},
+    "bernoulli": {"p": 0.5, "seed": DEFAULT_SEED},
+    "bernoullised": {"p": 0.5, "seed": DEFAULT_SEED, "base": None},
+}
+MODEL_NAMES = tuple(_FIELDS)
+_FIELD_NAMES = ("w", "pattern", "p", "seed", "base")
 
 LATTICE_BOUND = 1 << 62
 
@@ -80,16 +89,6 @@ def _ensemble_budget() -> int:
     return ENSEMBLE_WORK_FACTOR * max_window_length()
 
 
-def _ensemble_seeds(seeds, sites: int) -> tuple:
-    """The seeds as a tuple, once seeds x sites per seed is known to stay
-    within the ensemble budget: a sized argument is checked by len() before
-    it is expanded, an unsized one is drawn only up to one seed past it."""
-    if not isinstance(seeds, Sized):
-        seeds = tuple(itertools.islice(seeds, _ensemble_budget() // sites + 1))
-    _check_work(len(seeds), "seeds", sites, "ensemble")
-    return tuple(seeds)
-
-
 def _check_work(count: int, unit: str, sites: int, kind: str) -> None:
     """Refuse count passes of sites each beyond ENSEMBLE_WORK_FACTOR window caps."""
     budget = _ensemble_budget()
@@ -121,16 +120,6 @@ def _check_seed(seed) -> None:
         raise ValueError(f"seed must fit in 64 bits, got {seed}")
 
 
-_FIELDS_BY_MODEL = {
-    "constant": frozenset({"w"}),
-    "periodic": frozenset({"pattern"}),
-    "alternating": frozenset(),
-    "rudin_shapiro": frozenset(),
-    "bernoulli": frozenset({"p", "seed"}),
-    "bernoullised": frozenset({"p", "seed", "base"}),
-}
-
-
 @dataclass(frozen=True)
 class ModelSpec:
     """Tagged description of a comb model.
@@ -155,8 +144,8 @@ class ModelSpec:
             object.__setattr__(self, "w", float(self.w))
         if self.p is not None:
             object.__setattr__(self, "p", float(self.p))
-        allowed = _FIELDS_BY_MODEL[self.model]
-        for name in ("w", "pattern", "p", "seed", "base"):
+        allowed = _FIELDS[self.model]
+        for name in _FIELD_NAMES:
             value = getattr(self, name)
             if name in allowed:
                 if value is None:
@@ -182,7 +171,7 @@ class ModelSpec:
 
     @property
     def is_stochastic(self) -> bool:
-        return self.model in ("bernoulli", "bernoullised")
+        return "seed" in _FIELDS[self.model]
 
     @property
     def is_binary(self) -> bool:
@@ -219,56 +208,68 @@ class ModelSpec:
 
     def to_json(self) -> dict:
         out: dict = {"model": self.model}
-        if self.w is not None:
-            out["w"] = self.w
-        if self.pattern is not None:
-            out["pattern"] = list(self.pattern)
-        if self.p is not None:
-            out["p"] = self.p
-        if self.seed is not None:
-            out["seed"] = self.seed
-        if self.base is not None:
-            out["base"] = self.base.to_json()
+        for name in _FIELDS[self.model]:
+            value = getattr(self, name)
+            if name == "pattern":
+                value = list(value)
+            elif name == "base":
+                value = value.to_json()
+            out[name] = value
         return out
 
     @classmethod
     def from_json(cls, obj) -> "ModelSpec":
-        """Build a spec from the JSON object form, applying documented defaults.
+        """Build a spec from the JSON object form.
 
-        Missing w defaults to 1.0, missing p to 0.5, missing seed to
-        DEFAULT_SEED; unknown keys are rejected.  w and p must be JSON
-        numbers and pattern a JSON list of numbers (booleans are not numbers).
+        The model's defaults (w = 1.0, p = 0.5, seed = DEFAULT_SEED) are
+        merged with every field the JSON gives; the constructor then refuses
+        a missing required field and a field the model does not take.
+        Unknown keys are rejected.  w and p must be JSON numbers and pattern
+        a JSON list of numbers (booleans are not numbers).
         """
         if not isinstance(obj, dict):
             raise ValueError("model JSON must be an object")
-        unknown = set(obj) - {"model", "w", "pattern", "p", "seed", "base"}
+        unknown = set(obj) - {"model", *_FIELD_NAMES}
         if unknown:
             raise ValueError(f"unknown model fields: {sorted(unknown)}")
         model = obj.get("model")
         if model not in MODEL_NAMES:
             raise ValueError(f"unknown model {model!r}; expected one of {MODEL_NAMES}")
-        kwargs: dict = {}
-        if model == "constant":
-            kwargs["w"] = _json_number("w", obj.get("w", 1.0))
-        if model == "periodic":
-            if not isinstance(obj.get("pattern"), list):
-                raise ValueError("periodic model requires 'pattern', a list of numbers")
+        kwargs = {**_FIELDS[model], **obj}
+        for name in ("w", "p"):
+            if name in obj:
+                kwargs[name] = _json_number(name, obj[name])
+        if "pattern" in obj:
+            if not isinstance(obj["pattern"], list):
+                raise ValueError(f"pattern must be a list of numbers, got {obj['pattern']!r}")
             kwargs["pattern"] = tuple(_json_number("pattern entry", x) for x in obj["pattern"])
-        if model in ("bernoulli", "bernoullised"):
-            kwargs["p"] = _json_number("p", obj.get("p", 0.5))
-            kwargs["seed"] = obj.get("seed", DEFAULT_SEED)
-        if model == "bernoullised":
-            if "base" not in obj:
-                raise ValueError("bernoullised model requires 'base'")
+        if "base" in obj:
             kwargs["base"] = cls.from_json(obj["base"])
-        return cls(model, **kwargs)
+        return cls(**kwargs)
 
 
-def reseed(spec: ModelSpec, seed: int) -> ModelSpec:
-    """Copy of a stochastic spec with a new seed; deterministic specs pass through."""
+def ensemble(spec: ModelSpec, seeds, sites: int) -> tuple[ModelSpec, ...]:
+    """The specs a run averages over: (spec,) for a deterministic spec, else
+    one copy per seed (DEFAULT_SEEDS when seeds is None), at least one.
+
+    Seeds x sites per seed is held to the ensemble budget before any copy is
+    made: a sized argument, such as a range, by len() without expanding it;
+    an unsized one (or a range too long for len()) is drawn only up to one
+    seed past the budget.
+    """
     if not spec.is_stochastic:
-        return spec
-    return replace(spec, seed=seed)
+        return (spec,)
+    if seeds is None:
+        seeds = DEFAULT_SEEDS
+    try:
+        count = len(seeds)
+    except (TypeError, OverflowError):
+        seeds = tuple(itertools.islice(seeds, _ensemble_budget() // sites + 1))
+        count = len(seeds)
+    _check_work(count, "seeds", sites, "ensemble")
+    if not count:
+        raise ValueError("seed list must be nonempty for stochastic models")
+    return tuple(replace(spec, seed=seed) for seed in seeds)
 
 
 # ── Rudin-Shapiro weights ──────────────────────────────────────────────────
@@ -322,16 +323,13 @@ def index_uniforms(seed: int, first: int, last: int) -> np.ndarray:
         raise ValueError(f"empty index range: first={first} > last={last}")
     total = last - first + 1
     out = np.empty(total)
-    done = 0
-    while done < total:
+    bitgen = np.random.Philox(key=seed)
+    bitgen.advance(_STREAM_ORIGIN + first)
+    for done in range(0, total, _CHUNK):
         count = min(_CHUNK, total - done)
-        bitgen = np.random.Philox(key=seed)
-        bitgen.advance(_STREAM_ORIGIN + first + done)
-        words = np.random.Generator(bitgen).integers(
-            0, 2**64, size=4 * count, dtype=np.uint64
-        )[::4]
+        # Each index consumes one 4-word block; its first word is the raw draw.
+        words = bitgen.random_raw(4 * count)[::4]
         out[done : done + count] = (words >> np.uint64(11)) * (1.0 / (1 << 53))
-        done += count
     return out
 
 

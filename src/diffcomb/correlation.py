@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._util import round12, write_table
-from .combs import ModelSpec, _check_window_length, generate_window
+from .combs import ModelSpec, _check_window_length, _check_work, generate_window
 
 
 @dataclass(eq=False)
@@ -89,7 +89,8 @@ def empirical_autocorrelation(spec: ModelSpec, N: int, M: int) -> Autocorrelatio
 
 def analytic_autocorrelation(spec: ModelSpec, M: int) -> Autocorrelation:
     """Limit coefficients of a model at lags up to M, from the closed form;
-    the window cap bounds the 2M + 1 lags."""
+    the window cap bounds the 2M + 1 lags, and the work budget the
+    min(2M + 1, q) cyclic dot products of length q of a periodic pattern."""
     if M < 0:
         raise ValueError(f"max lag M must be nonnegative, got {M}")
     _check_window_length(2 * M + 1)
@@ -100,6 +101,7 @@ def analytic_autocorrelation(spec: ModelSpec, M: int) -> Autocorrelation:
         eta = np.where(m % 2 == 0, 1.0, -1.0)
     elif spec.model == "periodic":
         c = np.asarray(spec.pattern)
+        _check_work(min(2 * M + 1, c.size), "lags", c.size, "work")
         residues, inverse = np.unique(m % c.size, return_inverse=True)
         cyclic = np.array([float(c @ np.roll(c, -k)) for k in residues]) / c.size
         eta = cyclic[inverse]

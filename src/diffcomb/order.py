@@ -65,16 +65,17 @@ def block_entropy(spec: ModelSpec, N: int, k: int) -> float:
     of the window [-N, N].
 
     Requires 2N+1 >= 100 * 2**k so the word space is sampled enough for the
-    plug-in estimate to be meaningful.
+    plug-in estimate to be meaningful.  A k at or past the bit length of
+    2N+1 is refused before 2**k is formed, so a huge k costs nothing.
     """
     if k < 1:
         raise ValueError(f"block length k must be positive, got {k}")
     if N < 1:
         raise ValueError(f"window half-size N must be positive, got {N}")
     size = 2 * N + 1
-    if size < 100 * 2**k:
+    if k >= size.bit_length() or size < 100 * 2**k:
         raise ValueError(
-            f"window of {size} sites is too small for k={k}; need at least {100 * 2**k}"
+            f"window of {size} sites is too small for k={k}; need 2N+1 >= 100 * 2**{k}"
         )
     w = generate_window(spec, -N, N).weights
     for ranks, distinct in _subword_ranks(w, k):  # one length alive at a time; keeps length k

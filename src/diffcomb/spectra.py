@@ -16,16 +16,13 @@ import numpy as np
 
 from ._util import round12, write_table
 from .combs import (
+    DEFAULT_SEEDS,
     ModelSpec,
     WeightWindow,
     _check_window_length,
-    _ensemble_seeds,
+    ensemble,
     generate_window,
-    reseed,
 )
-
-# Ensemble seeds used when a stochastic run does not name its own.
-DEFAULT_SEEDS = tuple(range(1, 51))
 
 
 @dataclass(eq=False)
@@ -138,12 +135,7 @@ def bragg_weight(spec: ModelSpec, k0, N_list, seeds=None) -> BraggWeightEstimate
         raise ValueError("window half-sizes must be positive")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("N_list must be strictly increasing")
-    seed_list: tuple[int, ...] | None = None
-    if spec.is_stochastic:
-        seed_list = _ensemble_seeds(DEFAULT_SEEDS if seeds is None else seeds, 2 * sizes[-1] + 1)
-        if not seed_list:
-            raise ValueError("seed list must be nonempty for stochastic models")
-    streams = [spec] if seed_list is None else [reseed(spec, s) for s in seed_list]
+    streams = ensemble(spec, seeds, 2 * sizes[-1] + 1)
     # Phase vector and windows at the largest N only; each N sums the centre of their product.
     top = sizes[-1]
     _check_window_length(2 * top + 1)
@@ -165,6 +157,7 @@ def bragg_weight(spec: ModelSpec, k0, N_list, seeds=None) -> BraggWeightEstimate
         weights = np.log([max(w, 1e-300) for _, w in entries])
         slope = float(np.polyfit(lengths, weights, 1)[0])
         growth = "pure-point" if slope > -0.5 else "continuous"
+    seed_list = tuple(stream.seed for stream in streams) if spec.is_stochastic else None
     return BraggWeightEstimate(k, entries, entries[-1][1], growth, slope, seed_list)
 
 
@@ -286,15 +279,11 @@ def ensemble_binned_masses(
 ) -> np.ndarray:
     """Binned periodogram masses; stochastic specs are averaged over seeds,
     whose number times the 2N + 1 sites is bounded by the ensemble budget."""
-    if not spec.is_stochastic:
-        return binned_measure(periodogram(spec, N, G), bins).masses
-    seed_list = _ensemble_seeds(seeds, 2 * N + 1)
-    if not seed_list:
-        raise ValueError("seed list must be nonempty for stochastic models")
-    acc = np.zeros(bins)
-    for s in seed_list:
-        acc += binned_measure(periodogram(reseed(spec, s), N, G), bins).masses
-    return acc / len(seed_list)
+    masses = [
+        binned_measure(periodogram(stream, N, G), bins).masses
+        for stream in ensemble(spec, seeds, 2 * N + 1)
+    ]
+    return sum(masses) / len(masses)
 
 
 @dataclass

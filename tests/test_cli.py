@@ -109,6 +109,17 @@ class TestGenerate:
         assert main(["generate", "--model", model, "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("model,field", [
+        ('{"model": "rudin_shapiro", "p": 0.3, "seed": 7}', "p"),
+        ('{"model": "alternating", "pattern": [1, 2]}', "pattern"),
+        ('{"model": "constant", "w": 2, "seed": 1}', "seed"),
+    ])
+    def test_field_the_model_does_not_take_exits_2(self, tmp_path, capsys, model, field):
+        out = tmp_path / "w.csv"
+        assert main(["generate", "--model", model, "--out", str(out)]) == 2
+        assert f"model does not take '{field}'" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("model", [
         '{"model": "periodic", "pattern": [1, NaN]}',
         '{"model": "periodic", "pattern": [1, -Infinity]}',
@@ -311,6 +322,17 @@ class TestEntropy:
                      "--L-max", "4", "--out", str(out)])
         assert code == 2 and not out.exists()
 
+    @pytest.mark.parametrize("k", [20000, 10**12])
+    def test_huge_block_length_exits_2(self, tmp_path, capsys, k):
+        """Refused before 100 * 2**k is formed, with the bound in the message."""
+        argv = ["entropy", "--model", "rudin_shapiro", "--N", "4096", "--k", str(k),
+                "--out", str(tmp_path / "ent.json")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"window of 8193 sites is too small for k={k}; need 2N+1 >= 100 * 2**{k}" in err
+        assert len(err) < 200
+        assert not any(tmp_path.iterdir())
+
 
 class TestComplexity:
     def test_alternating_counts(self, tmp_path):
@@ -392,12 +414,19 @@ class TestLagRangeCap:
 class TestEnsembleBudget:
     """Seeds x sites of an ensemble are bounded by 64 window caps (6400 sites at a cap of 100)."""
 
-    def test_seed_range_is_checked_before_it_is_expanded(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("seeds,work", [
+        ("0:999999", "1000000 seeds x 9 sites"),
+        # longer than len() of a range can report: drawn only one seed past the budget
+        (f"0:{2**64 - 1}", "712 seeds x 9 sites"),
+    ])
+    def test_seed_range_is_checked_before_it_is_expanded(
+        self, tmp_path, monkeypatch, capsys, seeds, work
+    ):
         monkeypatch.setenv("DIFFCOMB_MAX_WINDOW", "100")
         argv = ["bragg", "--model", COIN_JSON, "--k0", "1/2", "--N-list", "4",
-                "--seeds", "0:999999", "--out", str(tmp_path / "b.json")]
+                "--seeds", seeds, "--out", str(tmp_path / "b.json")]
         assert main(argv) == 2
-        assert "seed range '0:999999' holds 1000000 seeds" in capsys.readouterr().err
+        assert f"{work} exceed the ensemble budget of 6400 sites" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv,work", [
@@ -419,6 +448,18 @@ class TestEnsembleBudget:
         assert main(argv) == 2
         assert "65 lengths x 19997 sites exceed the work budget" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    def test_periodic_closed_form_over_budget_exits_2(self, tmp_path, monkeypatch, capsys):
+        """min(2M + 1, q) cyclic dot products of length q are held to the work budget."""
+        monkeypatch.setenv("DIFFCOMB_MAX_WINDOW", "100")
+        pattern = tmp_path / "pattern.json"
+        pattern.write_text(json.dumps({"model": "periodic", "pattern": [1, -1] * 50}))
+        out = tmp_path / "eta.csv"
+        argv = ["autocorr", "--model", str(pattern), "--analytic", "--out", str(out)]
+        assert main([*argv, "--M", "49"]) == 2
+        assert "99 lags x 100 sites exceed the work budget of 6400 sites" in capsys.readouterr().err
+        assert not out.exists() and not out.with_name("eta.manifest.json").exists()
+        assert main([*argv, "--M", "31"]) == 0  # 63 lags x 100 sites
 
     def test_ensemble_at_the_budget_runs(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DIFFCOMB_MAX_WINDOW", "100")

@@ -136,12 +136,76 @@ class TestModelSpec:
         with pytest.raises(ValueError):
             dc.ModelSpec.from_json({"model": "constant", "weight": 2})
 
+    @pytest.mark.parametrize("obj,field", [
+        ({"model": "rudin_shapiro", "p": 0.3, "seed": 7}, "p"),
+        ({"model": "alternating", "pattern": [1, 2]}, "pattern"),
+        ({"model": "constant", "seed": 3}, "seed"),
+        ({"model": "periodic", "pattern": [1, -1], "w": 2}, "w"),
+        ({"model": "bernoulli", "base": {"model": "rudin_shapiro"}}, "base"),
+    ])
+    def test_json_rejects_a_field_the_model_does_not_take(self, obj, field):
+        with pytest.raises(ValueError, match=f"{obj['model']} model does not take '{field}'"):
+            dc.ModelSpec.from_json(obj)
+
     def test_binary_flag(self):
         assert RS.is_binary and ALT.is_binary
         assert dc.ModelSpec.constant(1.0).is_binary
         assert not dc.ModelSpec.constant(2.0).is_binary
         assert not dc.ModelSpec.periodic((0.5, 1.0)).is_binary
         assert dc.ModelSpec.bernoulli(0.2, 1).is_binary
+
+
+class TestEnsemble:
+    BUDGET = 64 * 100  # ensemble budget at a window cap of 100
+
+    def test_deterministic_spec_is_its_own_ensemble(self):
+        assert combs.ensemble(RS, None, 9) == (RS,)
+        assert combs.ensemble(RS, [], 9) == (RS,)
+
+    def test_one_copy_per_seed(self):
+        spec = dc.ModelSpec.bernoulli(0.5, 1)
+        assert [s.seed for s in combs.ensemble(spec, (4, 2, 4), 9)] == [4, 2, 4]
+        assert [s.seed for s in combs.ensemble(spec, None, 9)] == list(dc.DEFAULT_SEEDS)
+        assert all(s.p == 0.5 and s.model == "bernoulli" for s in combs.ensemble(spec, [3], 9))
+
+    @pytest.mark.parametrize("seeds", [(), [], iter(())])
+    def test_empty_seed_list_is_refused(self, seeds):
+        with pytest.raises(ValueError, match="seed list must be nonempty"):
+            combs.ensemble(dc.ModelSpec.bernoulli(0.5, 1), seeds, 9)
+
+    @pytest.mark.parametrize("seeds,count", [
+        (range(10**15), 10**15),
+        (range(2**64), BUDGET // 9 + 1),  # len() overflows; drawn one past the budget
+    ])
+    def test_range_is_refused_without_expanding(self, monkeypatch, seeds, count):
+        monkeypatch.setenv("DIFFCOMB_MAX_WINDOW", "100")
+        with pytest.raises(dc.ResourceLimitError, match=f"^{count} seeds x 9 sites exceed"):
+            combs.ensemble(dc.ModelSpec.bernoulli(0.5, 1), seeds, 9)
+
+    def test_unsized_seeds_are_drawn_one_past_the_budget(self, monkeypatch):
+        monkeypatch.setenv("DIFFCOMB_MAX_WINDOW", "100")
+        drawn = []
+
+        def seeds():
+            for seed in range(10**6):
+                drawn.append(seed)
+                yield seed
+
+        with pytest.raises(dc.ResourceLimitError, match="712 seeds x 9 sites"):
+            combs.ensemble(dc.ModelSpec.bernoulli(0.5, 1), seeds(), 9)
+        assert len(drawn) == self.BUDGET // 9 + 1
+        assert len(combs.ensemble(dc.ModelSpec.bernoulli(0.5, 1), iter(range(711)), 9)) == 711
+
+    def test_invalid_seed_is_refused(self):
+        with pytest.raises(ValueError, match="seed must fit in 64 bits"):
+            combs.ensemble(dc.ModelSpec.bernoulli(0.5, 1), [1, -1], 9)
+
+
+def test_public_names_resolve_once():
+    assert len(dc.__all__) == len(set(dc.__all__))
+    for name in dc.__all__:
+        assert hasattr(dc, name), name
+    assert dc.DEFAULT_SEEDS is combs.DEFAULT_SEEDS
 
 
 class TestGenerateWindow:
@@ -296,11 +360,6 @@ class TestWeightWindow:
         path = tmp_path / "w.csv"
         win.to_csv(path)
         assert path.read_text() == "n,w\n-1,-1\n0,1\n1,-1\n2,1\n"
-
-    def test_reseed(self):
-        spec = dc.ModelSpec.bernoulli(0.5, 1)
-        assert dc.reseed(spec, 9).seed == 9
-        assert dc.reseed(RS, 9) is RS
 
 
 class TestIndexUniforms:

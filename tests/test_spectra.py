@@ -1,6 +1,7 @@
 """Periodograms, point-mass estimates, binned measures, and closed forms."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -132,7 +133,7 @@ class TestBraggWeight:
         # one shared phase vector and centred sums give direct_intensity's bits
         sizes, k = [5, 64, 300], dc.as_wavenumber(k0)
         est = dc.bragg_weight(spec, k0, sizes, seeds)
-        streams = [spec] if seeds is None else [dc.reseed(spec, s) for s in seeds]
+        streams = [spec] if seeds is None else [replace(spec, seed=s) for s in seeds]
         expected = []
         for N in sizes:
             windows = [dc.generate_window(stream, -N, N) for stream in streams]
