@@ -1,9 +1,10 @@
 """Kinematic diffraction of binary Dirac combs on the integer lattice.
 
-Six comb families spanning the whole entropy range, their correlation
-estimates and closed forms, finite-size diffraction, an exact-arithmetic
-check of the Rudin-Shapiro correlation identity, order metrics, and
-separable two-factor products.
+Six comb families spanning the whole entropy range, each of one of three
+shapes (a cycle of weights, the Rudin-Shapiro signs, a coin over a +-1
+base), their correlation estimates and closed forms, finite-size
+diffraction, an exact-arithmetic check of the Rudin-Shapiro correlation
+identity, order metrics, and separable two-factor products.
 """
 
 from .combs import (
@@ -13,7 +14,6 @@ from .combs import (
     ModelSpec,
     ResourceLimitError,
     WeightWindow,
-    bernoullise,
     generate_window,
     index_uniforms,
     max_window_length,
@@ -85,7 +85,6 @@ __all__ = [
     "analytic_diffraction",
     "as_wavenumber",
     "bernoulli_entropy",
-    "bernoullise",
     "binned_measure",
     "block_entropy",
     "bragg_weight",

@@ -296,4 +296,5 @@ def write_table(path, columns: list[str], values, output_format: str = "csv") ->
 
 
 def write_json(path, obj) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2) + "\n", encoding="ascii")
+    """Write obj as JSON; a NaN or infinity raises ValueError instead of a non-standard token."""
+    Path(path).write_text(json.dumps(obj, indent=2, allow_nan=False) + "\n", encoding="ascii")

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from ._util import fmt, write_json
-from .combs import DEFAULT_SEEDS, ModelSpec, generate_window
+from .combs import DEFAULT_SEEDS, ModelSpec, _check_tolerance, generate_window
 from .correlation import (
     analytic_autocorrelation,
     compare_autocorrelations,
@@ -157,6 +157,7 @@ def _spectrum(args, spec: ModelSpec) -> _Outcome:
 
 
 def _homometry(args, spec_a: ModelSpec, spec_b: ModelSpec) -> _Outcome:
+    _check_tolerance(args.tol)  # before either side is computed
     ensemble = _parse_seeds(args.seeds) or DEFAULT_SEEDS
     if args.mode == "autocorr":
         sides = ((spec_a, args.analytic_a), (spec_b, args.analytic_b))

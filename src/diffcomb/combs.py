@@ -1,21 +1,27 @@
 """Binary Dirac comb models on the integer lattice.
 
-A model assigns a real scattering weight w(n) to every integer n.  The
-deterministic variants (constant, periodic, alternating, Rudin-Shapiro) are
-plain functions of n.  The stochastic variants (Bernoulli comb, and the
-Bernoullisation of a deterministic sign sequence) read a counter-based random
-stream keyed by (seed, index), so two windows of the same model agree wherever
-their ranges overlap, no matter in which order or chunking they were produced.
+A model assigns a real scattering weight w(n) to every integer n.  This is
+the one module that knows the six model names; the others read a model's
+shape: a cycle of weights repeated from n = 0 (ModelSpec.cycle: periodic,
+constant, alternating), the Rudin-Shapiro signs, or a coin that flips the
+signs of a deterministic +-1 base (ModelSpec.coin_base: bernoullised, and
+bernoulli over the constant 1).  The coin reads a counter-based random
+stream keyed by (seed, index), so two windows of the same model agree
+wherever their ranges overlap, no matter in which order or chunking they
+were produced.
 
 Stream contract, fixed per release: for seed s, lattice index n reads the
 Philox4x64-10 block at counter 2**64 + n + 1 under the key (s, 0) (numpy's
 Philox, advanced by 2**64 + n, increments its counter before each block);
 the first 64-bit word of that block, mapped into [0, 1) as
-(word >> 11) * 2**-53, is the uniform variate for n.  A Bernoulli weight is
-+1 exactly when the variate is < p.
+(word >> 11) * 2**-53, is the uniform variate for n.  The sign at n is kept
+exactly when the variate is < p.
 
 Lattice domain: every window lies inside |n| < 2**62 (LATTICE_BOUND), so
 indices and index sums such as n + M stay exact in int64.
+
+Weights: a nonzero w or pattern entry has a magnitude in [2**-128, 2**128]
+(WEIGHT_RANGE), so all derived values stay finite and every w * w is normal.
 
 Seed ensembles: ensemble() makes one copy of a stochastic spec per seed,
 DEFAULT_SEEDS (1..50) when a run names none.
@@ -51,6 +57,7 @@ MODEL_NAMES = tuple(_FIELDS)
 _FIELD_NAMES = ("w", "pattern", "p", "seed", "base")
 
 LATTICE_BOUND = 1 << 62
+WEIGHT_RANGE = (2.0**-128, 2.0**128)
 
 MAX_WINDOW_ENV = "DIFFCOMB_MAX_WINDOW"
 DEFAULT_MAX_WINDOW = 1 << 22
@@ -104,6 +111,21 @@ def _check_probability(p) -> None:
         raise ValueError(f"p must be a probability in [0, 1], got {p!r}")
 
 
+def _check_weights(name: str, values: tuple[float, ...]) -> None:
+    magnitude = np.abs(values)
+    if not np.isfinite(magnitude).all():
+        raise ValueError(f"{name} must be finite")
+    outside = (magnitude != 0.0) & ((magnitude < WEIGHT_RANGE[0]) | (magnitude > WEIGHT_RANGE[1]))
+    if outside.any():
+        raise ValueError(f"{name} must be 0 or of magnitude in [2**-128, 2**128],"
+                         f" got {values[outside.argmax()]!r}")
+
+
+def _check_tolerance(tol) -> None:
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
+
+
 def _json_number(name: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{name} must be a number, got {value!r}")
@@ -152,13 +174,12 @@ class ModelSpec:
                     raise ValueError(f"{self.model} model requires {name!r}")
             elif value is not None:
                 raise ValueError(f"{self.model} model does not take {name!r}")
-        if self.w is not None and not np.isfinite(self.w):
-            raise ValueError("w must be finite")
+        if self.w is not None:
+            _check_weights("w", (self.w,))
         if self.pattern is not None:
             if not self.pattern:
                 raise ValueError("pattern must be nonempty")
-            if not np.isfinite(self.pattern).all():
-                raise ValueError("pattern entries must be finite")
+            _check_weights("pattern entries", self.pattern)
         if self.p is not None:
             _check_probability(self.p)
         if self.seed is not None:
@@ -174,13 +195,19 @@ class ModelSpec:
         return "seed" in _FIELDS[self.model]
 
     @property
+    def cycle(self) -> tuple[float, ...] | None:
+        """The weights the model repeats from n = 0 on, or None when it has no cycle."""
+        return {"constant": (self.w,), "alternating": (1.0, -1.0)}.get(self.model, self.pattern)
+
+    @property
+    def coin_base(self) -> "ModelSpec | None":
+        """The deterministic +-1 model whose signs the coin flips, or None."""
+        return ModelSpec.constant(1.0) if self.model == "bernoulli" else self.base
+
+    @property
     def is_binary(self) -> bool:
         """True when every weight of the model lies in {+1, -1}."""
-        if self.model == "constant":
-            return self.w in (1.0, -1.0)
-        if self.model == "periodic":
-            return all(x in (1.0, -1.0) for x in self.pattern)
-        return True
+        return self.cycle is None or all(x in (1.0, -1.0) for x in self.cycle)
 
     @classmethod
     def constant(cls, w: float) -> "ModelSpec":
@@ -366,10 +393,6 @@ class WeightWindow:
     def indices(self) -> np.ndarray:
         return np.arange(self.first, self.last + 1)
 
-    @property
-    def is_binary(self) -> bool:
-        return bool(np.all(np.abs(self.weights) == 1.0))
-
     def to_csv(self, path, output_format: str = "csv") -> None:
         write_table(path, ["n", "w"], [self.indices(), self.weights], output_format)
 
@@ -386,32 +409,15 @@ def generate_window(spec: ModelSpec, first: int, last: int) -> WeightWindow:
     if first <= -LATTICE_BOUND or last >= LATTICE_BOUND:
         raise ValueError(f"window [{first}, {last}] leaves the lattice domain |n| < 2**62")
     _check_window_length(last - first + 1)
-    n = np.arange(first, last + 1)
-    if spec.model == "constant":
-        w = np.full(n.size, spec.w)
-    elif spec.model == "periodic":
-        w = np.asarray(spec.pattern)[n % len(spec.pattern)]
-    elif spec.model == "alternating":
-        w = np.where(n % 2 == 0, 1.0, -1.0)
-    elif spec.model == "rudin_shapiro":
-        w = rs_weights(n)
-    elif spec.model == "bernoulli":
-        w = _bernoulli_signs(spec.p, spec.seed, first, last)
-    else:  # bernoullised
-        base = generate_window(spec.base, first, last)
-        w = base.weights * _bernoulli_signs(spec.p, spec.seed, first, last)
+    coin = spec.coin_base
+    if coin is None:
+        n = np.arange(first, last + 1)
+        cycle = spec.cycle
+        w = rs_weights(n) if cycle is None else np.asarray(cycle)[n % len(cycle)]
+    else:
+        # The base before the signs, so that its generation peaks without them;
+        # a base of one repeated weight (bernoulli's 1) only scales the signs.
+        cycle = coin.cycle or ()
+        base = cycle[0] if len(cycle) == 1 else generate_window(coin, first, last).weights
+        w = base * _bernoulli_signs(spec.p, spec.seed, first, last)
     return WeightWindow(first, w)
-
-
-def bernoullise(base: WeightWindow, p: float, seed: int) -> WeightWindow:
-    """Flip each sign of a +-1 window independently with probability 1 - p.
-
-    Keyed by (seed, index), so it coincides with generating the bernoullised
-    model directly on the same range.
-    """
-    _check_probability(p)
-    _check_seed(seed)
-    if not base.is_binary:
-        raise ValueError("bernoullise requires weights in {+1, -1}")
-    flips = _bernoulli_signs(p, seed, base.first, base.last)
-    return WeightWindow(base.offset, base.weights * flips)

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._util import round12, write_table
-from .combs import ModelSpec, _check_window_length, _check_work, generate_window
+from .combs import ModelSpec, _check_tolerance, _check_window_length, _check_work, generate_window
 
 
 @dataclass(eq=False)
@@ -88,31 +88,29 @@ def empirical_autocorrelation(spec: ModelSpec, N: int, M: int) -> Autocorrelatio
 
 
 def analytic_autocorrelation(spec: ModelSpec, M: int) -> Autocorrelation:
-    """Limit coefficients of a model at lags up to M, from the closed form;
-    the window cap bounds the 2M + 1 lags, and the work budget the
-    min(2M + 1, q) cyclic dot products of length q of a periodic pattern."""
+    """Limit coefficients of a model at lags up to M, from the closed form of
+    its shape: the cyclic means c(k) c(k + m) over one period of a cycle c
+    (w * w for the constant w); a delta at lag 0 for Rudin-Shapiro; and for
+    a coin model the base coefficients damped by (2p - 1)**2 away from lag 0.
+    The window cap bounds the 2M + 1 lags, and the work budget the
+    min(2M + 1, q) cyclic dot products of length q of a cycle of period q."""
     if M < 0:
         raise ValueError(f"max lag M must be nonnegative, got {M}")
     _check_window_length(2 * M + 1)
-    m = np.arange(-M, M + 1)
-    if spec.model == "constant":
-        eta = np.full(2 * M + 1, spec.w**2)
-    elif spec.model == "alternating":
-        eta = np.where(m % 2 == 0, 1.0, -1.0)
-    elif spec.model == "periodic":
-        c = np.asarray(spec.pattern)
+    cycle, coin = spec.cycle, spec.coin_base
+    if cycle is not None:
+        c = np.asarray(cycle)
         _check_work(min(2 * M + 1, c.size), "lags", c.size, "work")
-        residues, inverse = np.unique(m % c.size, return_inverse=True)
-        cyclic = np.array([float(c @ np.roll(c, -k)) for k in residues]) / c.size
-        eta = cyclic[inverse]
-    elif spec.model == "rudin_shapiro":
+        residues = np.arange(-M, M + 1) % c.size
+        distinct = residues[: c.size]  # the first q of 2M + 1 consecutive lags differ mod q
+        cyclic = np.empty(c.size)
+        cyclic[distinct] = np.array([float(c @ np.roll(c, -k)) for k in distinct]) / c.size
+        eta = cyclic[residues]
+    elif coin is None:
         eta = np.zeros(2 * M + 1)
-        eta[M] = 1.0
-    elif spec.model == "bernoulli":
-        eta = np.full(2 * M + 1, (2.0 * spec.p - 1.0) ** 2)
-        eta[M] = 1.0
-    else:  # bernoullised: base coefficients damped by (2p-1)^2 away from lag 0
-        eta = (2.0 * spec.p - 1.0) ** 2 * analytic_autocorrelation(spec.base, M).eta
+    else:
+        eta = (2.0 * spec.p - 1.0) ** 2 * analytic_autocorrelation(coin, M).eta
+    if cycle is None:  # a +-1 comb: 1 at lag 0
         eta[M] = 1.0
     return Autocorrelation(M, eta, window_half_size=None)
 
@@ -224,7 +222,6 @@ def compare_autocorrelations(
     """Report max_m |x(m) - y(m)| against a tolerance; lag ranges must match."""
     if x.max_lag != y.max_lag:
         raise ValueError(f"lag ranges differ: {x.max_lag} vs {y.max_lag}")
-    if not tol >= 0.0:
-        raise ValueError(f"tolerance must be nonnegative, got {tol}")
+    _check_tolerance(tol)
     distance = float(np.max(np.abs(x.eta - y.eta)))
     return CorrelationComparison(x.max_lag, distance, float(tol), distance <= tol)

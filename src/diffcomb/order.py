@@ -119,9 +119,9 @@ class PatchComplexity:
         }
 
 
-def patch_complexity(spec: ModelSpec, N: int, L_max: int) -> PatchComplexity:
-    """Count distinct subwords of a deterministic model up to length L_max;
-    L_max passes over the 4N + 1 sites of the doubled window are budgeted."""
+def _check_patch_lengths(spec: ModelSpec, N: int, L_max: int) -> None:
+    """Require a deterministic model and 100 sites of [-N, N] per length; L_max
+    passes over the 4N + 1 sites of the doubled window are budgeted."""
     if spec.is_stochastic:
         raise ValueError("patch counting needs a deterministic model")
     if L_max < 1:
@@ -135,6 +135,11 @@ def patch_complexity(spec: ModelSpec, N: int, L_max: int) -> PatchComplexity:
         )
     _check_window_length(4 * N + 1)
     _check_work(L_max, "lengths", 4 * N + 1, "work")
+
+
+def patch_complexity(spec: ModelSpec, N: int, L_max: int) -> PatchComplexity:
+    """Count distinct subwords of a deterministic model up to length L_max."""
+    _check_patch_lengths(spec, N, L_max)
     # Ranks on the doubled window [-2N, 2N]; the subwords of [-N, N] are the
     # ones starting at positions N..3N+1-L.
     w_doubled = generate_window(spec, -2 * N, 2 * N).weights
@@ -176,15 +181,16 @@ class EntropyReport:
 
 def entropy_report(spec: ModelSpec, N: int, k: int, L_max: int | None = None) -> EntropyReport:
     """Assemble the entropy picture of one model; patch counts only when a
-    deterministic model asks for them (L_max set)."""
-    patches = None
+    deterministic model asks for them (L_max set).  Their arguments are
+    checked first, and block_entropy checks k before it counts."""
     if L_max is not None:
-        patches = patch_complexity(spec, N, L_max)
+        _check_patch_lengths(spec, N, L_max)
+    block = block_entropy(spec, N, k)
     return EntropyReport(
         spec=spec,
         exact=exact_entropy(spec),
         block_length=k,
-        block_entropy_per_symbol=block_entropy(spec, N, k),
+        block_entropy_per_symbol=block,
         window_half_size=N,
-        patches=patches,
+        patches=None if L_max is None else patch_complexity(spec, N, L_max),
     )

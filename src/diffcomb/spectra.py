@@ -19,6 +19,7 @@ from .combs import (
     DEFAULT_SEEDS,
     ModelSpec,
     WeightWindow,
+    _check_tolerance,
     _check_window_length,
     ensemble,
     generate_window,
@@ -226,12 +227,6 @@ class SpectralMeasure:
     def total(self) -> float:
         return float(sum(weight for _, weight in self.bragg) + self.ac_level)
 
-    def bragg_at(self, position: float) -> float:
-        for pos, weight in self.bragg:
-            if pos == position:
-                return weight
-        return 0.0
-
     def to_json(self) -> dict:
         return {
             "bragg": [[round12(pos), round12(weight)] for pos, weight in self.bragg],
@@ -241,15 +236,14 @@ class SpectralMeasure:
 
 
 def analytic_diffraction(spec: ModelSpec) -> SpectralMeasure:
-    """Closed-form diffraction of a model over one period of wavenumbers."""
-    if spec.model == "constant":
-        weight = spec.w**2
-        bragg = ((0.0, weight),) if weight > 0.0 else ()
-        return SpectralMeasure(bragg, 0.0)
-    if spec.model == "alternating":
-        return SpectralMeasure(((0.5, 1.0),), 0.0)
-    if spec.model == "periodic":
-        c = np.asarray(spec.pattern)
+    """Closed-form diffraction of a model over one period of wavenumbers, by
+    its shape: a cycle c of period q has point masses |fft(c)_j / q|**2 at
+    j / q (w * w at 0 for the constant w); Rudin-Shapiro is Lebesgue measure;
+    a coin model has its base's measure damped by (2p - 1)**2 plus the
+    diffuse level 4p(1 - p) (Baake & Grimm, arXiv:0810.5750)."""
+    cycle, coin = spec.cycle, spec.coin_base
+    if cycle is not None:
+        c = np.asarray(cycle)
         q = c.size
         weights = np.abs(np.fft.fft(c) / q) ** 2
         # Numerically zero Fourier amplitudes are true extinctions; drop them.
@@ -258,14 +252,9 @@ def analytic_diffraction(spec: ModelSpec) -> SpectralMeasure:
             (j / q, float(weights[j])) for j in range(q) if weights[j] > floor
         )
         return SpectralMeasure(bragg, 0.0)
-    if spec.model == "rudin_shapiro":
+    if coin is None:
         return SpectralMeasure((), 1.0)
-    if spec.model == "bernoulli":
-        point = (2.0 * spec.p - 1.0) ** 2
-        bragg = ((0.0, point),) if point > 0.0 else ()
-        return SpectralMeasure(bragg, 4.0 * spec.p * (1.0 - spec.p))
-    # bernoullised: base measure damped by (2p-1)^2 plus a flat diffuse part
-    base = analytic_diffraction(spec.base)
+    base = analytic_diffraction(coin)
     damping = (2.0 * spec.p - 1.0) ** 2
     bragg = tuple((pos, damping * weight) for pos, weight in base.bragg) if damping > 0.0 else ()
     ac = damping * base.ac_level + 4.0 * spec.p * (1.0 - spec.p)
@@ -313,8 +302,7 @@ def spectral_homometry(
 ) -> SpectralComparison:
     """Compare binned finite-size spectra of two models (ensemble-averaged for
     stochastic specs) and report the worst bin discrepancy against tol."""
-    if not tol >= 0.0:
-        raise ValueError(f"tolerance must be nonnegative, got {tol}")
+    _check_tolerance(tol)
     masses_a = ensemble_binned_masses(a, N, G, bins, seeds)
     masses_b = ensemble_binned_masses(b, N, G, bins, seeds)
     distance = float(np.max(np.abs(masses_a - masses_b)))

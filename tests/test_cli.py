@@ -152,6 +152,62 @@ class TestGenerate:
         assert code == 2 and not out.exists()
 
 
+# A weight whose square overflows a product cell: 2**256 * 2**256 * 2**256 * 2**256.
+HUGE_JSON = '{"model": "constant", "w": %r}' % 2.0**256
+# A weight whose square underflows to 0.
+TINY_JSON = '{"model": "constant", "w": 1e-200}'
+
+
+class TestFiniteAnswers:
+    """An input whose answer would not be finite, or not right, exits 2 and writes nothing."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["autocorr", "--model", '{"model": "constant", "w": 1e200}', "--N", "10", "--M", "2"],
+         "w must be 0 or of magnitude in [2**-128, 2**128], got 1e+200"),
+        (["spectrum", "--model", TINY_JSON], "w must be 0 or of magnitude"),
+        (["bragg", "--model", TINY_JSON, "--k0", "0", "--N-list", "64,256"],
+         "w must be 0 or of magnitude"),
+        (["product", "--a", HUGE_JSON, "--b", HUGE_JSON, "--mode", "diffraction"],
+         "w must be 0 or of magnitude"),
+        (["product", "--a", HUGE_JSON, "--b", HUGE_JSON, "--M", "1"], "w must be 0 or of magnitude"),
+        (["diffract", "--model", '{"model": "periodic", "pattern": [1, 1e300]}', "--N", "8",
+          "--G", "8"], "pattern entries must be 0 or of magnitude"),
+        (["homometry", "--a", "rudin_shapiro", "--b", "alternating", "--analytic-a",
+          "--analytic-b", "--M", "2", "--tol", "inf"], "tolerance must be finite and nonnegative"),
+        (["homometry", "--mode", "spectral", "--a", "rudin_shapiro", "--b", "alternating",
+          "--N", "8", "--G", "8", "--bins", "2", "--tol", "nan"],
+         "tolerance must be finite and nonnegative"),
+    ], ids=["autocorr-huge-w", "spectrum-tiny-w", "bragg-tiny-w", "product-diffraction-huge-w",
+            "product-autocorr-huge-w", "diffract-huge-entry", "homometry-tol-inf",
+            "homometry-spectral-tol-nan"])
+    def test_exits_2(self, tmp_path, capsys, argv, message):
+        assert main([*argv, "--out", str(tmp_path / "out.json")]) == 2
+        assert message in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_tolerance_is_checked_before_the_correlations(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("correlation computed before --tol was checked")
+
+        monkeypatch.setattr("diffcomb.cli.empirical_autocorrelation", refuse)
+        argv = ["homometry", "--a", RS_JSON, "--b", "rudin_shapiro", "--analytic-b",
+                "--tol", "inf", "--out", str(tmp_path / "hom.json")]
+        assert main(argv) == 2
+        assert "tolerance must be finite and nonnegative, got inf" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_constant_square_is_correctly_rounded(self, tmp_path):
+        """w * w, not pow: 9.25737882283e+60 would be the text of w**2."""
+        model = '{"model": "constant", "w": 3.042594094325597e30}'
+        spectrum, eta = tmp_path / "spec.json", tmp_path / "eta.csv"
+        assert main(["spectrum", "--model", model, "--out", str(spectrum)]) == 0
+        assert json.loads(spectrum.read_text())["bragg"] == [[0.0, 9.25737882282e60]]
+        assert main(["autocorr", "--model", model, "--analytic", "--M", "1", "--out", str(eta)]) == 0
+        assert eta.read_text() == "m,eta\n" + "".join(
+            f"{m},9.25737882282e+60\n" for m in (-1, 0, 1)
+        )
+
+
 class TestAutocorr:
     def test_empirical_zero_lag_row(self, tmp_path):
         out = tmp_path / "eta.csv"
@@ -321,6 +377,18 @@ class TestEntropy:
         code = main(["entropy", "--model", COIN_JSON, "--N", "4096", "--k", "4",
                      "--L-max", "4", "--out", str(out)])
         assert code == 2 and not out.exists()
+
+    def test_block_length_is_checked_before_the_patch_counts(self, tmp_path, capsys, monkeypatch):
+        """--k is refused before any subword of the --L-max counts is ranked."""
+        def refuse(*args):
+            raise AssertionError("subwords ranked before --k was checked")
+
+        monkeypatch.setattr("diffcomb.order._subword_ranks", refuse)
+        argv = ["entropy", "--model", "rudin_shapiro", "--N", "1000000", "--L-max", "16",
+                "--k", "100", "--out", str(tmp_path / "ent.json")]
+        assert main(argv) == 2
+        assert "window of 2000001 sites is too small for k=100" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("k", [20000, 10**12])
     def test_huge_block_length_exits_2(self, tmp_path, capsys, k):

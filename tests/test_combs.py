@@ -1,5 +1,7 @@
 """Model specs, windows, and the per-index random stream."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -151,8 +153,34 @@ class TestModelSpec:
         assert RS.is_binary and ALT.is_binary
         assert dc.ModelSpec.constant(1.0).is_binary
         assert not dc.ModelSpec.constant(2.0).is_binary
+        assert dc.ModelSpec.periodic((1.0, -1.0, -1.0)).is_binary
         assert not dc.ModelSpec.periodic((0.5, 1.0)).is_binary
         assert dc.ModelSpec.bernoulli(0.2, 1).is_binary
+
+    def test_shapes(self):
+        """Each model is a cycle, the Rudin-Shapiro signs, or a coin over a +-1 base."""
+        coin = dc.ModelSpec.bernoulli(0.2, 1)
+        rsb = dc.ModelSpec.bernoullised(RS, 0.2, 1)
+        assert dc.ModelSpec.constant(-2.5).cycle == (-2.5,)
+        assert ALT.cycle == (1.0, -1.0)
+        assert dc.ModelSpec.periodic((0.5, 2, -1)).cycle == (0.5, 2.0, -1.0)
+        assert RS.cycle is None and coin.cycle is None and rsb.cycle is None
+        assert coin.coin_base == dc.ModelSpec.constant(1.0) and rsb.coin_base == RS
+        assert all(spec.coin_base is None for spec in catalogue() if not spec.is_stochastic)
+
+    @pytest.mark.parametrize("w", [0.0, -0.0, 2.0**-128, -(2.0**-128), 2.0**128, -(2**128)])
+    def test_weight_range_edges_are_accepted(self, w):
+        assert dc.ModelSpec.constant(w).w == w
+        assert dc.ModelSpec.periodic((1.0, w)).pattern == (1.0, w)
+
+    @pytest.mark.parametrize("w", [2.0**128 * (1 + 2**-52), -(2.0**129), 2.0**-129, -1e-200, 1e200,
+                                   5e-324])
+    def test_weight_outside_the_range_is_refused(self, w):
+        message = r"must be 0 or of magnitude in \[2\*\*-128, 2\*\*128\]"
+        with pytest.raises(ValueError, match="w " + message):
+            dc.ModelSpec.constant(w)
+        with pytest.raises(ValueError, match="pattern entries " + message):
+            dc.ModelSpec.periodic((1.0, 0.0, w))
 
 
 class TestEnsemble:
@@ -235,7 +263,7 @@ class TestGenerateWindow:
     def test_binary_models_produce_binary_windows(self):
         for spec in catalogue(seed=3):
             win = dc.generate_window(spec, -50, 50)
-            assert win.is_binary == spec.is_binary
+            assert bool(np.all(np.abs(win.weights) == 1.0)) == spec.is_binary
 
     def test_reproducible(self):
         spec = dc.ModelSpec.bernoullised(RS, 0.3, 41)
@@ -317,28 +345,106 @@ class TestWindowConsistency:
 
 
 class TestBernoullise:
+    """A bernoullised window is its base's window with the stream's signs flipped."""
+
     def test_matches_model_generation(self):
-        base = dc.generate_window(RS, -300, 300)
-        flipped = dc.bernoullise(base, 0.25, 17)
+        base = dc.generate_window(RS, -300, 300).weights
+        kept = dc.index_uniforms(17, -300, 300) < 0.25
         model = dc.generate_window(dc.ModelSpec.bernoullised(RS, 0.25, 17), -300, 300)
-        assert np.array_equal(flipped.weights, model.weights)
+        assert np.array_equal(model.weights, np.where(kept, base, -base))
 
     def test_degenerate_p(self):
-        base = dc.generate_window(ALT, -50, 50)
-        assert np.array_equal(dc.bernoullise(base, 1.0, 5).weights, base.weights)
-        assert np.array_equal(dc.bernoullise(base, 0.0, 5).weights, -base.weights)
+        base = dc.generate_window(ALT, -50, 50).weights
+        kept = dc.generate_window(dc.ModelSpec.bernoullised(ALT, 1.0, 5), -50, 50)
+        assert np.array_equal(kept.weights, base)
+        flipped = dc.generate_window(dc.ModelSpec.bernoullised(ALT, 0.0, 5), -50, 50)
+        assert np.array_equal(flipped.weights, -base)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_constant_base(self, sign):
+        """A base of one repeated weight scales the signs of the bernoulli comb."""
+        spec = dc.ModelSpec.bernoullised(dc.ModelSpec.constant(sign), 0.3, 8)
+        coin = dc.generate_window(dc.ModelSpec.bernoulli(0.3, 8), -60, 60).weights
+        assert np.array_equal(dc.generate_window(spec, -60, 60).weights, sign * coin)
 
     def test_flip_fraction_near_half_at_p_half(self):
         # independent count of disagreeing signs
         base = dc.generate_window(RS, -(2**15), 2**15)
-        flipped = dc.bernoullise(base, 0.5, 123)
+        flipped = dc.generate_window(dc.ModelSpec.bernoullised(RS, 0.5, 123), -(2**15), 2**15)
         fraction = np.mean(base.weights != flipped.weights)
         assert abs(fraction - 0.5) <= 0.02
 
-    def test_requires_binary_window(self):
-        win = dc.WeightWindow(0, np.array([1.0, 2.0]))
-        with pytest.raises(ValueError):
-            dc.bernoullise(win, 0.5, 1)
+    def test_peak_memory_of_a_bernoullised_window(self):
+        """The base is generated before the signs are drawn, and the flipped model
+        makes no index array of its own: 4.0 window sizes at peak that way round,
+        5.0 with the signs drawn first and 5.0 with its own index array."""
+        size = 2**21 + 1
+        spec = dc.ModelSpec.bernoullised(RS, 0.25, 3)
+        tracemalloc.start()
+        try:
+            window = dc.generate_window(spec, -(2**20), 2**20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(window) == size
+        assert peak < 4.5 * window.weights.nbytes
+
+
+WEIGHTS = st.one_of(
+    st.just(0.0), st.floats(2.0**-128, 2.0**128), st.floats(-(2.0**128), -(2.0**-128))
+)
+
+
+class TestCollapsedModels:
+    """constant, alternating and bernoulli, which share the cycle and coin paths,
+    against their literal formulas: window, coefficients and point masses."""
+
+    M = 3
+
+    def check_constant(self, w):
+        spec = dc.ModelSpec.constant(w)
+        assert np.array_equal(dc.generate_window(spec, -5, 6).weights, np.full(12, w))
+        assert dc.analytic_autocorrelation(spec, self.M).eta.tolist() == [w * w] * (2 * self.M + 1)
+        measure = dc.analytic_diffraction(spec)
+        assert measure.bragg == (((0.0, w * w),) if w != 0 else ())
+        assert measure.ac_level == 0.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(w=WEIGHTS)
+    def test_constant(self, w):
+        self.check_constant(w)
+
+    # 3.042594094325597e30: its square rounded correctly (w * w) and by pow (w**2)
+    # differ by one ulp, and in the 12th digit.
+    @pytest.mark.parametrize("w", [1.0, -2.5, 0.0, 2.0**-128, -(2.0**128), 3.042594094325597e30])
+    def test_constant_fixed(self, w):
+        self.check_constant(w)
+
+    def test_alternating(self):
+        lags = range(-self.M, self.M + 1)
+        eta = dc.analytic_autocorrelation(ALT, self.M).eta
+        assert eta.tolist() == [1.0 if m % 2 == 0 else -1.0 for m in lags]
+        assert dc.analytic_diffraction(ALT) == dc.SpectralMeasure(((0.5, 1.0),), 0.0)
+
+    def check_bernoulli(self, p, seed):
+        spec = dc.ModelSpec.bernoulli(p, seed)
+        window = dc.generate_window(spec, -40, 40).weights
+        assert np.array_equal(window, np.where(dc.index_uniforms(seed, -40, 40) < p, 1.0, -1.0))
+        point = (2 * p - 1) ** 2
+        eta = dc.analytic_autocorrelation(spec, self.M).eta
+        assert eta.tolist() == [point] * self.M + [1.0] + [point] * self.M
+        measure = dc.analytic_diffraction(spec)
+        assert measure.bragg == (((0.0, point),) if p != 0.5 else ())
+        assert measure.ac_level == 4 * p * (1 - p)
+
+    @settings(max_examples=100, deadline=None)
+    @given(p=st.floats(0.0, 1.0), seed=st.integers(0, 2**64 - 1))
+    def test_bernoulli(self, p, seed):
+        self.check_bernoulli(p, seed)
+
+    @pytest.mark.parametrize("p", [0.0, 0.25, 0.5, 0.5 + 2**-53, 1.0])
+    def test_bernoulli_fixed(self, p):
+        self.check_bernoulli(p, 7)
 
 
 class TestWeightWindow:

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import diffcomb as dc
+from diffcomb import order
 from diffcomb.order import _subword_ranks
 from test_combs import ALT, RS
 
@@ -290,3 +291,17 @@ class TestEntropyReport:
     def test_patch_request_on_stochastic_model_rejected(self):
         with pytest.raises(ValueError):
             dc.entropy_report(dc.ModelSpec.bernoulli(0.5, 1), 2**12, 4, L_max=4)
+
+    @pytest.mark.parametrize("k,L_max,message", [
+        (100, 16, "too small for k=100"),
+        (4, 10**6, "too small for L_max=1000000"),
+    ])
+    def test_arguments_are_checked_before_any_count(self, monkeypatch, k, L_max, message):
+        """Neither count generates a window or ranks a subword before both are checked."""
+        def refuse(*args):
+            raise AssertionError("counted before the arguments were checked")
+
+        monkeypatch.setattr(order, "_subword_ranks", refuse)
+        monkeypatch.setattr(order, "generate_window", refuse)
+        with pytest.raises(ValueError, match=message):
+            dc.entropy_report(RS, 10**6, k, L_max=L_max)

@@ -275,11 +275,6 @@ class TestAnalyticDiffraction:
             eta0 = dc.analytic_autocorrelation(spec, 0).value(0)
             assert abs(m.total() - eta0) <= 1e-12 * max(1.0, eta0)
 
-    def test_bragg_at_lookup(self):
-        m = dc.analytic_diffraction(ALT)
-        assert m.bragg_at(0.5) == 1.0
-        assert m.bragg_at(0.25) == 0.0
-
     def test_measure_validation(self):
         with pytest.raises(ValueError):
             dc.SpectralMeasure(bragg=((0.5, 1.0), (0.25, 1.0)), ac_level=0.0)

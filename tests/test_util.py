@@ -1,6 +1,7 @@
 """Table writer: byte-identical to formatting every cell on its own."""
 
 import json
+import math
 import tempfile
 from decimal import Decimal
 from pathlib import Path
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diffcomb import _util
-from diffcomb._util import fmt, round12, write_table
+from diffcomb._util import fmt, round12, write_json, write_table
 
 FORMATS = ("csv", "json")
 
@@ -271,3 +272,12 @@ def test_only_guarded_values_take_the_scalar_rule(monkeypatch, output_format):
     ties = [x for x in grid.tolist() if x and Decimal(x).normalize().as_tuple().digits[12:] == (5,)]
     assert len(ties) == 4601
     assert scalar == [0.0] + ties
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_json_report_refuses_a_non_finite_value(tmp_path, value):
+    """A report never carries the non-standard tokens NaN or Infinity."""
+    path = tmp_path / "report.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_json(path, {"entries": [[1, 0.5], [2, value]]})
+    assert not path.exists()
