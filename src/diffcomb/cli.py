@@ -157,7 +157,12 @@ def _spectrum(args, spec: ModelSpec) -> _Outcome:
 
 
 def _homometry(args, spec_a: ModelSpec, spec_b: ModelSpec) -> _Outcome:
-    _check_tolerance(args.tol)  # before either side is computed
+    # Before either side is computed: the flags, then the tolerance.
+    if args.mode == "autocorr" and args.seeds is not None:
+        raise ValueError("--seeds applies to --mode spectral only")
+    if args.mode == "spectral" and (args.analytic_a or args.analytic_b):
+        raise ValueError("--analytic-a and --analytic-b apply to --mode autocorr only")
+    _check_tolerance(args.tol)
     ensemble = _parse_seeds(args.seeds) or DEFAULT_SEEDS
     if args.mode == "autocorr":
         sides = ((spec_a, args.analytic_a), (spec_b, args.analytic_b))
@@ -306,8 +311,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--G", type=int, default=4096, help="grid size (spectral mode)")
     p.add_argument("--bins", type=int, default=16, help="bin count (spectral mode)")
     p.add_argument("--tol", type=float, default=0.05)
-    p.add_argument("--analytic-a", action="store_true", help="closed form for side a")
-    p.add_argument("--analytic-b", action="store_true", help="closed form for side b")
+    p.add_argument("--analytic-a", action="store_true",
+                   help="closed form for side a (autocorr mode)")
+    p.add_argument("--analytic-b", action="store_true",
+                   help="closed form for side b (autocorr mode)")
     p.add_argument("--seeds", default=None, help="ensemble seeds (spectral mode)")
 
     p = command("entropy", _entropy, "exact entropy and block-entropy estimate")

@@ -23,6 +23,11 @@ indices and index sums such as n + M stay exact in int64.
 Weights: a nonzero w or pattern entry has a magnitude in [2**-128, 2**128]
 (WEIGHT_RANGE), so all derived values stay finite and every w * w is normal.
 
+Memory: generate_window allocates a window once and fills it in blocks of
+_CHUNK = 2**16 sites, each by its shape's rule on the block's own indices, so
+a window costs its own 8 bytes per site plus one block's scratch (about
+5 MiB), whatever its length.
+
 Seed ensembles: ensemble() makes one copy of a stochastic spec per seed,
 DEFAULT_SEEDS (1..50) when a run names none.
 """
@@ -339,7 +344,7 @@ def rs_weights(indices) -> np.ndarray:
 
 # Absolute counter block of lattice index 0; keeps negative indices positive.
 _STREAM_ORIGIN = 1 << 64
-# Cap per-chunk scratch memory while generating long windows.
+# Sites per block of a generated window and per Philox draw; caps the scratch memory.
 _CHUNK = 1 << 16
 
 
@@ -358,10 +363,6 @@ def index_uniforms(seed: int, first: int, last: int) -> np.ndarray:
         words = bitgen.random_raw(4 * count)[::4]
         out[done : done + count] = (words >> np.uint64(11)) * (1.0 / (1 << 53))
     return out
-
-
-def _bernoulli_signs(p: float, seed: int, first: int, last: int) -> np.ndarray:
-    return np.where(index_uniforms(seed, first, last) < p, 1.0, -1.0)
 
 
 # ── Windows ────────────────────────────────────────────────────────────────
@@ -403,21 +404,30 @@ def generate_window(spec: ModelSpec, first: int, last: int) -> WeightWindow:
     Stochastic variants are reproducible per (seed, index): for any sub-range
     [lo, hi], the slice full.weights[lo - first : hi - first + 1] of a window and
     the window generated on [lo, hi] directly are identical arrays.
+
+    Memory: the window is allocated once and filled in blocks of _CHUNK sites,
+    so it costs its own 8 bytes per site plus one block's scratch (about
+    5 MiB), whatever its length.
     """
     if first > last:
         raise ValueError(f"empty window: first={first} > last={last}")
     if first <= -LATTICE_BOUND or last >= LATTICE_BOUND:
         raise ValueError(f"window [{first}, {last}] leaves the lattice domain |n| < 2**62")
     _check_window_length(last - first + 1)
+    weights = np.empty(last - first + 1)
+    for start in range(0, weights.size, _CHUNK):
+        _fill_block(spec, weights[start : start + _CHUNK], first + start)
+    return WeightWindow(first, weights)
+
+
+def _fill_block(spec: ModelSpec, out: np.ndarray, first: int) -> None:
+    """Writes the weights of spec at first, first + 1, ... into the block out."""
     coin = spec.coin_base
-    if coin is None:
-        n = np.arange(first, last + 1)
-        cycle = spec.cycle
-        w = rs_weights(n) if cycle is None else np.asarray(cycle)[n % len(cycle)]
-    else:
-        # The base before the signs, so that its generation peaks without them;
-        # a base of one repeated weight (bernoulli's 1) only scales the signs.
-        cycle = coin.cycle or ()
-        base = cycle[0] if len(cycle) == 1 else generate_window(coin, first, last).weights
-        w = base * _bernoulli_signs(spec.p, spec.seed, first, last)
-    return WeightWindow(first, w)
+    if coin is not None:
+        # The base's signs, each kept exactly when the stream's variate is below p.
+        _fill_block(coin, out, first)
+        out *= np.where(index_uniforms(spec.seed, first, first + out.size - 1) < spec.p, 1.0, -1.0)
+        return
+    cycle = spec.cycle
+    n = np.arange(first, first + out.size)
+    out[:] = rs_weights(n) if cycle is None else np.asarray(cycle)[n % len(cycle)]

@@ -345,6 +345,18 @@ class TestHomometry:
         data = json.loads(out.read_text())
         assert data["bins"] == 16 and len(data["masses_a"]) == 16
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--seeds", "1:3", "--G", "7"], "--seeds applies to --mode spectral only"),
+        (["--mode", "spectral", "--analytic-a"], "--analytic-a and --analytic-b apply to --mode"),
+        (["--mode", "spectral", "--analytic-b", "--seeds", "1:3"], "--analytic-a and --analytic-b"),
+    ], ids=["autocorr-seeds", "spectral-analytic-a", "spectral-analytic-b"])
+    def test_a_flag_the_mode_does_not_read_exits_2(self, tmp_path, capsys, argv, message):
+        argv = ["homometry", "--a", RS_JSON, "--b", "rudin_shapiro", "--N", "64", "--M", "4",
+                "--G", "16", "--bins", "4", *argv, "--out", str(tmp_path / "hom.json")]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_spectral_mode_on_deterministic_models_records_no_seeds(self, tmp_path):
         out = tmp_path / "hom.json"
         code = main(["homometry", "--a", "rudin_shapiro", "--b", "rudin_shapiro",

@@ -360,6 +360,17 @@ class TestBernoullise:
         flipped = dc.generate_window(dc.ModelSpec.bernoullised(ALT, 0.0, 5), -50, 50)
         assert np.array_equal(flipped.weights, -base)
 
+    @pytest.mark.parametrize("n", [-(2**16) - 3, 5, 2**16 + 7])
+    def test_a_variate_equal_to_p_flips_the_sign(self, n):
+        """The sign is kept only where the variate is strictly below p."""
+        p = float(dc.index_uniforms(21, n, n)[0])
+        neighbours = dc.index_uniforms(21, n - 1, n + 1)
+        coin = dc.generate_window(dc.ModelSpec.bernoulli(p, 21), n - 1, n + 1).weights
+        assert coin.tolist() == np.where(neighbours < p, 1.0, -1.0).tolist()
+        assert coin[1] == -1.0
+        base = dc.rs_weight(n)
+        assert dc.generate_window(dc.ModelSpec.bernoullised(RS, p, 21), n, n).weights[0] == -base
+
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_constant_base(self, sign):
         """A base of one repeated weight scales the signs of the bernoulli comb."""
@@ -375,19 +386,80 @@ class TestBernoullise:
         assert abs(fraction - 0.5) <= 0.02
 
     def test_peak_memory_of_a_bernoullised_window(self):
-        """The base is generated before the signs are drawn, and the flipped model
-        makes no index array of its own: 4.0 window sizes at peak that way round,
-        5.0 with the signs drawn first and 5.0 with its own index array."""
-        size = 2**21 + 1
+        """The window is filled block by block, base then coin, so its peak is its own
+        bytes plus one block's scratch (1.27 window sizes here, about 4 built whole)."""
         spec = dc.ModelSpec.bernoullised(RS, 0.25, 3)
-        tracemalloc.start()
-        try:
-            window = dc.generate_window(spec, -(2**20), 2**20)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(window) == size
-        assert peak < 4.5 * window.weights.nbytes
+        assert window_peak(spec) < 1.5
+
+
+def window_peak(spec):
+    """tracemalloc peak of generating a 2**21 + 1-site window, in window sizes."""
+    tracemalloc.start()
+    try:
+        window = dc.generate_window(spec, -(2**20), 2**20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(window) == 2**21 + 1
+    return peak / window.weights.nbytes
+
+
+def oracle_weight(spec, n):
+    """w(n) from the per-index rules of each model name: the cycle formula, rs_weight
+    and the stream contract's stream_uniform."""
+    if spec.model == "constant":
+        return spec.w
+    if spec.model == "alternating":
+        return 1.0 - 2 * (n % 2)
+    if spec.model == "periodic":
+        return spec.pattern[n % len(spec.pattern)]
+    if spec.model == "rudin_shapiro":
+        return float(dc.rs_weight(n))
+    base = 1.0 if spec.model == "bernoulli" else oracle_weight(spec.base, n)
+    return base if stream_uniform(spec.seed, n) < spec.p else -base
+
+
+# Every model, with bernoullised over RS, over the alternating and over a periodic pattern.
+BLOCK_MODELS = [*catalogue(seed=12), dc.ModelSpec.bernoullised(
+    dc.ModelSpec.periodic((1.0, -1.0, -1.0, 1.0, -1.0)), 0.6, 2**64 - 2)]
+
+
+class TestBlocks:
+    """A window is filled in blocks of _CHUNK sites; every block, seam and tail
+    holds the per-index weights, for windows shorter, as long and longer than a
+    block, starting at negative and positive indices."""
+
+    @staticmethod
+    def windows(chunk):
+        for length in (chunk - 1, chunk, chunk + 1, 3 * chunk + 5):
+            for first in (-3 * chunk - 2, chunk + 3):
+                yield first, first + length - 1
+
+    @pytest.mark.parametrize("spec", BLOCK_MODELS, ids=lambda spec: spec.model)
+    def test_block_seams_match_the_oracles(self, spec):
+        chunk = combs._CHUNK
+        rng = np.random.default_rng(0)
+        for first, last in self.windows(chunk):
+            weights = dc.generate_window(spec, first, last).weights
+            size = last - first + 1
+            seams = [start + d for start in range(0, size + 1, chunk) for d in (-2, -1, 0, 1)]
+            offsets = sorted({i for i in seams if 0 <= i < size} | {*rng.integers(0, size, 40)})
+            expected = [oracle_weight(spec, first + int(i)) for i in offsets]
+            assert weights[offsets].tolist() == expected, (first, last)
+
+    @pytest.mark.parametrize("spec", BLOCK_MODELS, ids=lambda spec: spec.model)
+    def test_blocks_of_seven_sites_match_the_oracles(self, monkeypatch, spec):
+        monkeypatch.setattr(combs, "_CHUNK", 7)
+        for first, last in self.windows(7):
+            expected = [oracle_weight(spec, n) for n in range(first, last + 1)]
+            assert dc.generate_window(spec, first, last).weights.tolist() == expected
+
+    @pytest.mark.parametrize("spec", [
+        RS, dc.ModelSpec.periodic((1.0, 2.0, -1.0)), dc.ModelSpec.bernoulli(0.3, 3),
+    ], ids=lambda spec: spec.model)
+    def test_peak_memory_of_a_window(self, spec):
+        """Its own bytes plus one block's scratch: 1.13, 1.09 and 1.27 window sizes."""
+        assert window_peak(spec) < 1.5
 
 
 WEIGHTS = st.one_of(
