@@ -28,6 +28,10 @@ _CHUNK = 2**16 sites, each by its shape's rule on the block's own indices, so
 a window costs its own 8 bytes per site plus one block's scratch (about
 5 MiB), whatever its length.
 
+Specs: ModelSpec's constructor is the one check of every field (name, the
+fields the model takes, types, ranges); from_json only reads the JSON shape,
+so a spec built in code follows the same rules as one read from JSON.
+
 Seed ensembles: ensemble() makes one copy of a stochastic spec per seed,
 DEFAULT_SEEDS (1..50) when a run names none.
 """
@@ -131,7 +135,8 @@ def _check_tolerance(tol) -> None:
         raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
 
 
-def _json_number(name: str, value) -> float:
+def _number(name: str, value) -> float:
+    """value as a float; a bool or a str is not a number."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{name} must be a number, got {value!r}")
     try:
@@ -165,12 +170,6 @@ class ModelSpec:
     def __post_init__(self):
         if self.model not in MODEL_NAMES:
             raise ValueError(f"unknown model {self.model!r}; expected one of {MODEL_NAMES}")
-        if self.pattern is not None:
-            object.__setattr__(self, "pattern", tuple(float(x) for x in self.pattern))
-        if self.w is not None:
-            object.__setattr__(self, "w", float(self.w))
-        if self.p is not None:
-            object.__setattr__(self, "p", float(self.p))
         allowed = _FIELDS[self.model]
         for name in _FIELD_NAMES:
             value = getattr(self, name)
@@ -180,16 +179,24 @@ class ModelSpec:
             elif value is not None:
                 raise ValueError(f"{self.model} model does not take {name!r}")
         if self.w is not None:
+            object.__setattr__(self, "w", _number("w", self.w))
             _check_weights("w", (self.w,))
         if self.pattern is not None:
+            if not isinstance(self.pattern, (list, tuple)):
+                raise ValueError(f"pattern must be a list of numbers, got {self.pattern!r}")
+            entries = tuple(_number("pattern entry", x) for x in self.pattern)
+            object.__setattr__(self, "pattern", entries)
             if not self.pattern:
                 raise ValueError("pattern must be nonempty")
             _check_weights("pattern entries", self.pattern)
         if self.p is not None:
+            object.__setattr__(self, "p", _number("p", self.p))
             _check_probability(self.p)
         if self.seed is not None:
             _check_seed(self.seed)
         if self.base is not None:
+            if not isinstance(self.base, ModelSpec):
+                raise ValueError(f"base must be a ModelSpec, got {self.base!r}")
             if self.base.is_stochastic:
                 raise ValueError("bernoullised base must be deterministic")
             if not self.base.is_binary:
@@ -254,27 +261,20 @@ class ModelSpec:
         """Build a spec from the JSON object form.
 
         The model's defaults (w = 1.0, p = 0.5, seed = DEFAULT_SEED) are
-        merged with every field the JSON gives; the constructor then refuses
-        a missing required field and a field the model does not take.
-        Unknown keys are rejected.  w and p must be JSON numbers and pattern
-        a JSON list of numbers (booleans are not numbers).
+        merged with every field the JSON gives, and a base is read the same
+        way; the constructor then checks every field, as for a spec built in
+        code.  Unknown keys and null fields are rejected.
         """
         if not isinstance(obj, dict):
             raise ValueError("model JSON must be an object")
         unknown = set(obj) - {"model", *_FIELD_NAMES}
         if unknown:
             raise ValueError(f"unknown model fields: {sorted(unknown)}")
+        nulls = sorted(name for name, value in obj.items() if value is None)
+        if nulls:
+            raise ValueError(f"model fields must not be null: {nulls}")
         model = obj.get("model")
-        if model not in MODEL_NAMES:
-            raise ValueError(f"unknown model {model!r}; expected one of {MODEL_NAMES}")
-        kwargs = {**_FIELDS[model], **obj}
-        for name in ("w", "p"):
-            if name in obj:
-                kwargs[name] = _json_number(name, obj[name])
-        if "pattern" in obj:
-            if not isinstance(obj["pattern"], list):
-                raise ValueError(f"pattern must be a list of numbers, got {obj['pattern']!r}")
-            kwargs["pattern"] = tuple(_json_number("pattern entry", x) for x in obj["pattern"])
+        kwargs = {**(_FIELDS[model] if model in MODEL_NAMES else {}), **obj, "model": model}
         if "base" in obj:
             kwargs["base"] = cls.from_json(obj["base"])
         return cls(**kwargs)

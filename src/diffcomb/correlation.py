@@ -20,15 +20,10 @@ from .combs import ModelSpec, _check_tolerance, _check_window_length, _check_wor
 
 @dataclass(eq=False)
 class Autocorrelation:
-    """Correlation coefficients on the lags -max_lag..max_lag.
-
-    window_half_size is the N of the estimating window, or None when the
-    coefficients are a closed-form limit.
-    """
+    """Correlation coefficients on the lags -max_lag..max_lag."""
 
     max_lag: int
     eta: np.ndarray
-    window_half_size: int | None = None
 
     def __post_init__(self):
         arr = np.asarray(self.eta, dtype=np.float64)
@@ -84,7 +79,7 @@ def empirical_autocorrelation(spec: ModelSpec, N: int, M: int) -> Autocorrelatio
     else:
         sums = np.array([w[M : M + size] @ w[M + m : M + m + size] for m in range(M + 1)])
     half = sums / size
-    return Autocorrelation(M, np.concatenate((half[:0:-1], half)), window_half_size=N)
+    return Autocorrelation(M, np.concatenate((half[:0:-1], half)))
 
 
 def analytic_autocorrelation(spec: ModelSpec, M: int) -> Autocorrelation:
@@ -112,7 +107,7 @@ def analytic_autocorrelation(spec: ModelSpec, M: int) -> Autocorrelation:
         eta = (2.0 * spec.p - 1.0) ** 2 * analytic_autocorrelation(coin, M).eta
     if cycle is None:  # a +-1 comb: 1 at lag 0
         eta[M] = 1.0
-    return Autocorrelation(M, eta, window_half_size=None)
+    return Autocorrelation(M, eta)
 
 
 # ── Exact check of the Rudin-Shapiro correlation identity ──────────────────

@@ -32,7 +32,6 @@ class Periodogram:
 
     grid_size: int
     intensities: np.ndarray
-    window_half_size: int
 
     def __post_init__(self):
         arr = np.asarray(self.intensities, dtype=np.float64)
@@ -61,7 +60,7 @@ def periodogram(spec: ModelSpec, N: int, G: int) -> Periodogram:
     residues = np.arange(-N, N + 1) % G
     folded = np.bincount(residues, weights=w, minlength=G)
     amplitudes = np.fft.fft(folded)
-    return Periodogram(G, np.abs(amplitudes) ** 2 / (2 * N + 1), N)
+    return Periodogram(G, np.abs(amplitudes) ** 2 / (2 * N + 1))
 
 
 def direct_intensity(window: WeightWindow, k: float) -> float:
@@ -170,8 +169,6 @@ class BinnedMeasure:
 
     bins: int
     masses: np.ndarray
-    grid_size: int
-    window_half_size: int
 
     def __post_init__(self):
         arr = np.asarray(self.masses, dtype=np.float64)
@@ -199,7 +196,7 @@ def binned_measure(pg: Periodogram, bins: int) -> BinnedMeasure:
         raise ValueError(f"bins={bins} does not divide grid size {pg.grid_size}")
     per_bin = pg.grid_size // bins
     masses = pg.intensities.reshape(bins, per_bin).sum(axis=1) / pg.grid_size
-    return BinnedMeasure(bins, masses, pg.grid_size, pg.window_half_size)
+    return BinnedMeasure(bins, masses)
 
 
 # ── Closed-form measures ───────────────────────────────────────────────────

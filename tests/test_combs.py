@@ -144,10 +144,54 @@ class TestModelSpec:
         ({"model": "constant", "seed": 3}, "seed"),
         ({"model": "periodic", "pattern": [1, -1], "w": 2}, "w"),
         ({"model": "bernoulli", "base": {"model": "rudin_shapiro"}}, "base"),
+        ({"model": "rudin_shapiro", "p": True}, "p"),
     ])
     def test_json_rejects_a_field_the_model_does_not_take(self, obj, field):
         with pytest.raises(ValueError, match=f"{obj['model']} model does not take '{field}'"):
             dc.ModelSpec.from_json(obj)
+
+    # One row per bad field: the constructor and from_json refuse it with one message.
+    BAD_FIELDS = [
+        ({"model": "bernoulli", "p": True, "seed": 1}, "p must be a number, got True"),
+        ({"model": "constant", "w": "3"}, "w must be a number, got '3'"),
+        ({"model": "periodic", "pattern": "123"}, "pattern must be a list of numbers, got '123'"),
+        ({"model": "periodic", "pattern": [1, True]}, "pattern entry must be a number, got True"),
+        ({"model": "constant", "w": 10**400}, "w is out of range, got 1000"),
+    ]
+
+    @pytest.mark.parametrize("fields,message", BAD_FIELDS)
+    def test_bad_field_is_refused_alike_in_code_and_json(self, fields, message):
+        with pytest.raises(ValueError) as built:
+            dc.ModelSpec(**fields)
+        with pytest.raises(ValueError) as read:
+            dc.ModelSpec.from_json(fields)
+        assert str(built.value) == str(read.value)
+        assert str(built.value).startswith(message)
+
+    def test_base_must_be_a_spec(self):
+        with pytest.raises(ValueError, match="base must be a ModelSpec, got 'rudin_shapiro'"):
+            dc.ModelSpec("bernoullised", p=0.5, seed=1, base="rudin_shapiro")
+        with pytest.raises(ValueError, match="model JSON must be an object"):
+            dc.ModelSpec.from_json({"model": "bernoullised", "base": "rudin_shapiro"})
+
+    @pytest.mark.parametrize("model", [["rudin_shapiro"], {}])
+    def test_json_model_that_is_not_a_name_is_refused(self, model):
+        with pytest.raises(ValueError, match="unknown model"):
+            dc.ModelSpec.from_json({"model": model})
+
+    @pytest.mark.parametrize("obj", [
+        {"model": "rudin_shapiro", "seed": None},
+        {"model": "constant", "w": None},
+        {"model": None},
+    ])
+    def test_json_null_field_is_refused(self, obj):
+        with pytest.raises(ValueError, match="model fields must not be null"):
+            dc.ModelSpec.from_json(obj)
+
+    def test_numpy_float_pattern_is_accepted(self):
+        spec = dc.ModelSpec("periodic", pattern=tuple(np.array([0.5, -2.0])))
+        assert spec.pattern == (0.5, -2.0)
+        assert all(type(x) is float for x in spec.pattern)
 
     def test_binary_flag(self):
         assert RS.is_binary and ALT.is_binary
