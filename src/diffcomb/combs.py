@@ -26,7 +26,10 @@ Weights: a nonzero w or pattern entry has a magnitude in [2**-128, 2**128]
 Memory: generate_window allocates a window once and fills it in blocks of
 _CHUNK = 2**16 sites, each by its shape's rule on the block's own indices, so
 a window costs its own 8 bytes per site plus one block's scratch (about
-5 MiB), whatever its length.
+3 MiB), whatever its length.  _sign_bits streams the same blocks through one
+reused block buffer into packed sign bits, one bit per site, for the +-1
+correlation kernel.  The coin draws its Philox words _DRAW = 2**12 sites at a
+time, so the draw buffer stays small enough for the allocator to reuse.
 
 Specs: ModelSpec's constructor is the one check of every field (name, the
 fields the model takes, types, ranges); from_json only reads the JSON shape,
@@ -227,7 +230,8 @@ class ModelSpec:
 
     @classmethod
     def periodic(cls, pattern) -> "ModelSpec":
-        return cls("periodic", pattern=tuple(pattern))
+        """A periodic spec; a numpy array is read as the list of its entries."""
+        return cls("periodic", pattern=pattern.tolist() if isinstance(pattern, np.ndarray) else pattern)
 
     @classmethod
     def alternating(cls) -> "ModelSpec":
@@ -344,8 +348,11 @@ def rs_weights(indices) -> np.ndarray:
 
 # Absolute counter block of lattice index 0; keeps negative indices positive.
 _STREAM_ORIGIN = 1 << 64
-# Sites per block of a generated window and per Philox draw; caps the scratch memory.
+# Sites per block of a generated window; caps the scratch memory.
 _CHUNK = 1 << 16
+# Sites per Philox draw, 4 words each: a 128-KiB buffer that the allocator reuses,
+# where a block-sized draw (2 MiB) was mapped afresh, and page-faulted, for every block.
+_DRAW = 1 << 12
 
 
 def index_uniforms(seed: int, first: int, last: int) -> np.ndarray:
@@ -357,8 +364,8 @@ def index_uniforms(seed: int, first: int, last: int) -> np.ndarray:
     out = np.empty(total)
     bitgen = np.random.Philox(key=seed)
     bitgen.advance(_STREAM_ORIGIN + first)
-    for done in range(0, total, _CHUNK):
-        count = min(_CHUNK, total - done)
+    for done in range(0, total, _DRAW):
+        count = min(_DRAW, total - done)
         # Each index consumes one 4-word block; its first word is the raw draw.
         words = bitgen.random_raw(4 * count)[::4]
         out[done : done + count] = (words >> np.uint64(11)) * (1.0 / (1 << 53))
@@ -398,6 +405,16 @@ class WeightWindow:
         write_table(path, ["n", "w"], [self.indices(), self.weights], output_format)
 
 
+def _check_window(first: int, last: int) -> None:
+    """Refuses [first, last] when it is empty, leaves the lattice domain or
+    exceeds the window cap, before anything is generated."""
+    if first > last:
+        raise ValueError(f"empty window: first={first} > last={last}")
+    if first <= -LATTICE_BOUND or last >= LATTICE_BOUND:
+        raise ValueError(f"window [{first}, {last}] leaves the lattice domain |n| < 2**62")
+    _check_window_length(last - first + 1)
+
+
 def generate_window(spec: ModelSpec, first: int, last: int) -> WeightWindow:
     """Weights of a model on [first, last].
 
@@ -407,13 +424,9 @@ def generate_window(spec: ModelSpec, first: int, last: int) -> WeightWindow:
 
     Memory: the window is allocated once and filled in blocks of _CHUNK sites,
     so it costs its own 8 bytes per site plus one block's scratch (about
-    5 MiB), whatever its length.
+    3 MiB), whatever its length.
     """
-    if first > last:
-        raise ValueError(f"empty window: first={first} > last={last}")
-    if first <= -LATTICE_BOUND or last >= LATTICE_BOUND:
-        raise ValueError(f"window [{first}, {last}] leaves the lattice domain |n| < 2**62")
-    _check_window_length(last - first + 1)
+    _check_window(first, last)
     weights = np.empty(last - first + 1)
     for start in range(0, weights.size, _CHUNK):
         _fill_block(spec, weights[start : start + _CHUNK], first + start)
@@ -431,3 +444,22 @@ def _fill_block(spec: ModelSpec, out: np.ndarray, first: int) -> None:
     cycle = spec.cycle
     n = np.arange(first, first + out.size)
     out[:] = rs_weights(n) if cycle is None else np.asarray(cycle)[n % len(cycle)]
+
+
+def _sign_bits(spec: ModelSpec, first: int, last: int) -> np.ndarray:
+    """The bits w(n) < 0 for n = first..last, packed little-endian into bytes:
+    np.packbits(generate_window(spec, first, last).weights < 0, bitorder="little").
+
+    The caller checks the range (_check_window).  The sites are filled in blocks
+    through one reused buffer of at least _CHUNK sites, a multiple of 8 so that
+    every block but the last packs into whole bytes; no window is allocated.
+    """
+    total = last - first + 1
+    step = -(-_CHUNK // 8) * 8
+    block = np.empty(min(step, total))
+    bits = np.empty(-(-total // 8), dtype=np.uint8)
+    for start in range(0, total, step):
+        part = block[: total - start]
+        _fill_block(spec, part, first + start)
+        bits[start // 8 : (start + part.size + 7) // 8] = np.packbits(part < 0, bitorder="little")
+    return bits

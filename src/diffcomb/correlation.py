@@ -1,10 +1,13 @@
 """Two-point correlations: windowed estimator, closed forms, exact identity check.
 
 The empirical estimator averages w(n) w(n+m) over the centred window
-[-N, N], with weights generated on the extended range [-N-M, N+M] so every
-lag sum has exactly 2N+1 terms.  Coefficients are computed for m >= 0 and
-mirrored, which makes the symmetry eta(-m) = eta(m) structural and keeps
-eta(0) = 1 exact for +-1 sequences.
+[-N, N], so every lag sum has exactly 2N+1 terms.  Coefficients are computed
+for m >= 0 and mirrored, which makes the symmetry eta(-m) = eta(m)
+structural and keeps eta(0) = 1 exact for +-1 sequences.  Lags m >= 0 read
+the sites [-N, N+M]: a +-1 model's are streamed block by block into packed
+sign bits, one bit per site, and any other model's weights are generated on
+the extended window [-N-M, N+M].  Either way the lattice domain and the
+window cap are checked on [-N-M, N+M], before any work.
 """
 
 from __future__ import annotations
@@ -15,7 +18,15 @@ from fractions import Fraction
 import numpy as np
 
 from ._util import round12, write_table
-from .combs import ModelSpec, _check_tolerance, _check_window_length, _check_work, generate_window
+from .combs import (
+    ModelSpec,
+    _check_tolerance,
+    _check_window,
+    _check_window_length,
+    _check_work,
+    _sign_bits,
+    generate_window,
+)
 
 
 @dataclass(eq=False)
@@ -43,12 +54,12 @@ class Autocorrelation:
         write_table(path, ["m", "eta"], [self.lags(), self.eta], output_format)
 
 
-def _pm1_lag_sums(x: np.ndarray, size: int, M: int) -> np.ndarray:
+def _pm1_lag_sums(bits: np.ndarray, size: int, M: int) -> np.ndarray:
     """Exact int64 sums of x[i] x[i + m] over i < size, m = 0..M, for a +-1
-    array x of length size + M: size - 2 popcount(core XOR shifted) over the
-    sign bits packed into little-endian words, each bit shift built once."""
+    array x of length size + M given by its sign bits x < 0, packed
+    little-endian into bytes: size - 2 popcount(core XOR shifted) over those
+    bits read as little-endian words, each bit shift built once."""
     width = -(-size // 64)  # words covering the core
-    bits = np.packbits(x < 0, bitorder="little")
     words = np.pad(bits, (0, 8 * (width + M // 64 + 1) - bits.size)).view("<u8")
     tail = (1 << (size % 64 or 64)) - 1  # the core's bits in its last word
     sums = np.empty(M + 1, dtype=np.int64)
@@ -64,19 +75,21 @@ def _pm1_lag_sums(x: np.ndarray, size: int, M: int) -> np.ndarray:
 def empirical_autocorrelation(spec: ModelSpec, N: int, M: int) -> Autocorrelation:
     """Windowed correlation estimate of a model at lags up to M.
 
-    Needs indices [-N-M, N+M]; the window cap therefore applies to
-    2N + 2M + 1, not 2N + 1.  A +-1 model's lag sums are counted in exact
-    integers, the values its float products sum to below 2**53 sites.
+    The lattice domain and the window cap apply to [-N-M, N+M], so to
+    2N + 2M + 1 sites, not 2N + 1.  A +-1 model's lag sums are counted in
+    exact integers, the values its float products sum to below 2**53 sites,
+    from the sign bits of [-N, N+M]: one bit per site, no float window.
     """
     if N < 1:
         raise ValueError(f"window half-size N must be positive, got {N}")
     if M < 0:
         raise ValueError(f"max lag M must be nonnegative, got {M}")
-    w = generate_window(spec, -N - M, N + M).weights
+    _check_window(-N - M, N + M)
     size = 2 * N + 1
     if spec.is_binary:
-        sums = _pm1_lag_sums(w[M:], size, M)
+        sums = _pm1_lag_sums(_sign_bits(spec, -N, N + M), size, M)
     else:
+        w = generate_window(spec, -N - M, N + M).weights
         sums = np.array([w[M : M + size] @ w[M + m : M + m + size] for m in range(M + 1)])
     half = sums / size
     return Autocorrelation(M, np.concatenate((half[:0:-1], half)))

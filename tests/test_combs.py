@@ -155,6 +155,7 @@ class TestModelSpec:
         ({"model": "bernoulli", "p": True, "seed": 1}, "p must be a number, got True"),
         ({"model": "constant", "w": "3"}, "w must be a number, got '3'"),
         ({"model": "periodic", "pattern": "123"}, "pattern must be a list of numbers, got '123'"),
+        ({"model": "periodic", "pattern": 5}, "pattern must be a list of numbers, got 5"),
         ({"model": "periodic", "pattern": [1, True]}, "pattern entry must be a number, got True"),
         ({"model": "constant", "w": 10**400}, "w is out of range, got 1000"),
     ]
@@ -167,6 +168,20 @@ class TestModelSpec:
             dc.ModelSpec.from_json(fields)
         assert str(built.value) == str(read.value)
         assert str(built.value).startswith(message)
+
+    @pytest.mark.parametrize("fields,message", [row for row in BAD_FIELDS if "pattern" in row[0]])
+    def test_bad_pattern_is_refused_alike_by_periodic(self, fields, message):
+        with pytest.raises(ValueError) as built:
+            dc.ModelSpec(**fields)
+        with pytest.raises(ValueError) as periodic:
+            dc.ModelSpec.periodic(fields["pattern"])
+        assert str(periodic.value) == str(built.value)
+
+    @pytest.mark.parametrize("pattern", [(0.5, -2), [0.5, -2], np.array([0.5, -2.0])])
+    def test_periodic_accepts_tuples_lists_and_arrays(self, pattern):
+        spec = dc.ModelSpec.periodic(pattern)
+        assert spec.pattern == (0.5, -2.0)
+        assert all(type(x) is float for x in spec.pattern)
 
     def test_base_must_be_a_spec(self):
         with pytest.raises(ValueError, match="base must be a ModelSpec, got 'rudin_shapiro'"):
@@ -466,6 +481,7 @@ def oracle_weight(spec, n):
 # Every model, with bernoullised over RS, over the alternating and over a periodic pattern.
 BLOCK_MODELS = [*catalogue(seed=12), dc.ModelSpec.bernoullised(
     dc.ModelSpec.periodic((1.0, -1.0, -1.0, 1.0, -1.0)), 0.6, 2**64 - 2)]
+BINARY_BLOCK_MODELS = [spec for spec in BLOCK_MODELS if spec.is_binary]
 
 
 class TestBlocks:
@@ -504,6 +520,32 @@ class TestBlocks:
     def test_peak_memory_of_a_window(self, spec):
         """Its own bytes plus one block's scratch: 1.13, 1.09 and 1.27 window sizes."""
         assert window_peak(spec) < 1.5
+
+
+class TestSignBits:
+    """The +-1 estimator's packed sign bits, streamed block by block, are the bytes
+    of np.packbits(window < 0, bitorder="little") of the generated window."""
+
+    @staticmethod
+    def packed(spec, first, last):
+        return np.packbits(dc.generate_window(spec, first, last).weights < 0, bitorder="little")
+
+    @pytest.mark.parametrize("spec", BINARY_BLOCK_MODELS, ids=lambda spec: spec.model)
+    def test_blocks_match_the_packed_window(self, spec):
+        for first, last in TestBlocks.windows(combs._CHUNK):
+            assert np.array_equal(combs._sign_bits(spec, first, last), self.packed(spec, first, last))
+
+    @pytest.mark.parametrize("chunk,draw", [(7, 3), (16, 1), (20, 64)])
+    @pytest.mark.parametrize("spec", BINARY_BLOCK_MODELS, ids=lambda spec: spec.model)
+    def test_small_blocks_and_draws_match_the_packed_window(self, monkeypatch, spec, chunk, draw):
+        # lengths of every residue mod 8 and 64, from negative and positive starts
+        ranges = [(first, first + length - 1)
+                  for first in (-70, -3, 5) for length in (1, 7, 8, 9, 63, 64, 65, 100, 129)]
+        expected = [self.packed(spec, first, last) for first, last in ranges]
+        monkeypatch.setattr(combs, "_CHUNK", chunk)
+        monkeypatch.setattr(combs, "_DRAW", draw)
+        for (first, last), bits in zip(ranges, expected):
+            assert np.array_equal(combs._sign_bits(spec, first, last), bits), (first, last)
 
 
 WEIGHTS = st.one_of(
@@ -606,9 +648,9 @@ class TestIndexUniforms:
         window = dc.index_uniforms(seed, -70000, 70000)
         assert window[np.array(indices) + 70000].tolist() == expected
 
-    def test_small_chunks_match_one_chunk(self, monkeypatch):
-        # each chunk advances the stream to its own first index
+    def test_small_draws_match_one_draw(self, monkeypatch):
+        # each call advances the stream to its own first index
         whole = dc.index_uniforms(5, -40, 60)
-        monkeypatch.setattr(combs, "_CHUNK", 7)
+        monkeypatch.setattr(combs, "_DRAW", 7)
         assert np.array_equal(dc.index_uniforms(5, -40, 60), whole)
         assert np.array_equal(dc.index_uniforms(5, -3, 4), whole[37:45])
