@@ -1,4 +1,4 @@
-"""Shared output helpers: 12-significant-digit numbers, CSV/JSON tables.
+"""Shared helpers: 12-significant-digit numbers, CSV/JSON tables, sort-free dedupe.
 
 fmt, round12 and _json_float are the scalar rules for one cell.  write_table
 writes whole columns with the same bytes: integers by digit passes, floats
@@ -174,28 +174,28 @@ def _float_layout(negative, digits, e, json_style: bool):
     return np.stack([slot for slot in slots if slot.any()], axis=1)
 
 
-# A float column with at most this many distinct bit patterns is deduplicated
-# without a sort (the +-1 weights have two).
+# An array with at most this many distinct values is deduplicated without a
+# sort (the +-1 weights have two).
 _FEW_DISTINCT = 4
 
 
-def _distinct(bits):
-    """np.unique(bits, return_inverse=True) of a nonempty int64 array, without
-    its sort when bits holds at most _FEW_DISTINCT values: each equality pass
-    drops the rows of one value, and the next value is the first row left.  The
-    few values are sorted and each row's index counts the values it is at or above.
-    """
-    found, other = [bits[0]], bits != bits[0]
+def _distinct(values):
+    """np.unique(values, return_inverse=True) of any nonempty 1-d array, compared in its
+    dtype, without its sort when values holds at most _FEW_DISTINCT values: each equality
+    pass drops the rows of one value, the next value is the first row left, and a row's
+    index counts the sorted values it is at or above.  The writer passes int64 bit views,
+    so -0.0 and 0.0 stay apart; the order metrics' float windows rank in numeric order."""
+    found, other = [values[0]], values != values[0]
     # other[0] is False, so argmax is 0 only when no row is left.
     while (at := other.argmax()) and len(found) < _FEW_DISTINCT:
-        found.append(bits[at])
-        other &= bits != found[-1]
+        found.append(values[at])
+        other &= values != found[-1]
     if at:
-        return np.unique(bits, return_inverse=True)
-    distinct = np.sort(np.array(found, dtype=bits.dtype))
-    inverse = np.zeros(bits.size, dtype=np.intp)
+        return np.unique(values, return_inverse=True)
+    distinct = np.sort(np.array(found, dtype=values.dtype))
+    inverse = np.zeros(values.size, dtype=np.intp)
     for value in distinct[1:]:
-        inverse += bits >= value
+        inverse += values >= value
     return distinct, inverse
 
 

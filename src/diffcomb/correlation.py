@@ -6,8 +6,8 @@ for m >= 0 and mirrored, which makes the symmetry eta(-m) = eta(m)
 structural and keeps eta(0) = 1 exact for +-1 sequences.  Lags m >= 0 read
 the sites [-N, N+M]: a +-1 model's are streamed block by block into packed
 sign bits, one bit per site, and any other model's weights are generated on
-the extended window [-N-M, N+M].  Either way the lattice domain and the
-window cap are checked on [-N-M, N+M], before any work.
+them.  Either way the lattice domain and the window cap are checked on the
+extended window [-N-M, N+M], before any work.
 """
 
 from __future__ import annotations
@@ -89,8 +89,8 @@ def empirical_autocorrelation(spec: ModelSpec, N: int, M: int) -> Autocorrelatio
     if spec.is_binary:
         sums = _pm1_lag_sums(_sign_bits(spec, -N, N + M), size, M)
     else:
-        w = generate_window(spec, -N - M, N + M).weights
-        sums = np.array([w[M : M + size] @ w[M + m : M + m + size] for m in range(M + 1)])
+        w = generate_window(spec, -N, N + M).weights
+        sums = np.array([w[:size] @ w[m : m + size] for m in range(M + 1)])
     half = sums / size
     return Autocorrelation(M, np.concatenate((half[:0:-1], half)))
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import round12, write_table
+from ._util import _distinct, round12, write_table
 from .combs import ModelSpec, _check_probability, _check_window_length, _check_work, generate_window
 
 
@@ -31,14 +31,14 @@ def exact_entropy(spec: ModelSpec) -> float:
 def _subword_ranks(weights: np.ndarray, max_length: int):
     """Yield, for L = 1..max_length in turn, the pair (ranks, size): the dense
     lexicographic rank of every length-L subword among the size distinct
-    ones of the window, over the alphabet observed in it.
+    ones of the window, over its alphabet in numeric order (_distinct).
 
     Length L+1 keys each subword by its length-L prefix rank and last digit,
     rank * a + digit, which orders the keys lexicographically; the keys are
     ranked by marking them in a table of size * a entries, or by sorting when
     that table would be larger than the keys themselves.  Ranks stay below
     the window length, so keys stay below its square and fit in int64."""
-    alphabet, digits = np.unique(weights, return_inverse=True)
+    alphabet, digits = _distinct(weights)
     a = alphabet.size
     ranks, size = digits, a
     yield ranks, size

@@ -83,12 +83,9 @@ def as_wavenumber(k0) -> float:
             k0 = Fraction(k0)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"cannot parse wavenumber {k0!r}: {exc}") from exc
-    if isinstance(k0, Fraction):
-        value = float(k0)
-    elif isinstance(k0, (int, float)) and not isinstance(k0, bool):
-        value = float(k0)
-    else:
+    if isinstance(k0, bool) or not isinstance(k0, (Fraction, int, float)):
         raise ValueError(f"wavenumber must be numeric or rational text, got {k0!r}")
+    value = float(k0)
     if not 0.0 <= value < 1.0:
         raise ValueError(f"wavenumber must lie in [0, 1), got {value}")
     return value
@@ -101,7 +98,8 @@ class BraggWeightEstimate:
     The label comes from the least-squares slope of log(weight) against
     log(2N+1): a point mass keeps the weight roughly constant (slope near 0),
     a purely continuous spectrum keeps the intensity bounded so the weight
-    decays like 1/N (slope near -1).  The cut is at -1/2.
+    decays like 1/N (slope near -1).  The cut is at -1/2.  Weights that are
+    all exactly 0 are labelled continuous (no point mass), with no slope fitted.
     """
 
     position: float
@@ -149,9 +147,10 @@ def bragg_weight(spec: ModelSpec, k0, N_list, seeds=None) -> BraggWeightEstimate
         (N, float(np.mean([row[j] for row in intensities])) / (2 * N + 1))
         for j, N in enumerate(sizes)
     ]
-    slope = None
-    growth = "indeterminate"
-    if len(entries) >= 2:
+    slope, growth = None, "indeterminate"
+    if all(w == 0.0 for _, w in entries):
+        growth = "continuous"
+    elif len(entries) >= 2:
         lengths = np.log([2 * N + 1 for N, _ in entries])
         # Guard exact spectral zeros so the log stays finite.
         weights = np.log([max(w, 1e-300) for _, w in entries])

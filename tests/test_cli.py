@@ -272,6 +272,17 @@ class TestBragg:
         assert data["growth"] == "pure-point"
         assert data["seeds"] is None
 
+    @pytest.mark.parametrize("model", ['{"model": "periodic", "pattern": [1, -1, 0]}',
+                                       '{"model": "constant", "w": 0}'], ids=["periodic", "constant"])
+    def test_all_zero_weights_are_continuous(self, tmp_path, model):
+        # every window's weight is exactly 0: no point mass, and no slope is fitted
+        out = tmp_path / "bragg.json"
+        assert main(["bragg", "--model", model, "--k0", "0", "--out", str(out)]) == 0
+        data = json.loads(out.read_text())
+        assert [w for _, w in data["entries"]] == [0.0, 0.0, 0.0]
+        assert data["growth"] == "continuous"
+        assert data["growth_slope"] is None
+
     def test_seed_range_syntax(self, tmp_path):
         out = tmp_path / "bragg.json"
         code = main(["bragg", "--model", COIN_JSON, "--k0", "0",

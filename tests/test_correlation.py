@@ -123,6 +123,18 @@ class TestEmpiricalAutocorrelation:
         for (N, M), eta in expected.items():
             assert np.array_equal(dc.empirical_autocorrelation(spec, N, M).eta, eta), (N, M)
 
+    def test_other_models_generate_only_the_sites_they_read(self, monkeypatch):
+        # the lags m >= 0 read [-N, N + M]; the cap is still checked on [-N - M, N + M]
+        ranges = []
+
+        def recording(spec, first, last):
+            ranges.append((first, last))
+            return combs.generate_window(spec, first, last)
+
+        monkeypatch.setattr(diffcomb.correlation, "generate_window", recording)
+        dc.empirical_autocorrelation(dc.ModelSpec.periodic((0.5, 2.0, -1.0)), 100, 30)
+        assert ranges == [(-100, 130)]
+
     def test_peak_memory_of_a_binary_estimate(self):
         """A +-1 estimate holds one sign bit per site and one block of floats, never
         a float window: its peak read 0.17 of the float window's bytes (1.22 with it)."""

@@ -2,6 +2,7 @@
 
 import collections
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -269,6 +270,22 @@ class TestPatchComplexity:
         path = tmp_path / "p.csv"
         pc.to_csv(path)
         assert path.read_text() == "L,count\n1,2\n2,2\n"
+
+
+@pytest.mark.parametrize("count", [
+    lambda: dc.block_entropy(dc.ModelSpec.bernoullised(RS, 0.25, 3), 262144, 10),
+    lambda: dc.patch_complexity(RS, 131072, 32),
+], ids=["block_entropy", "patch_complexity"])
+def test_peak_memory_of_a_count(count):
+    """Both counts read a window of 2**19 + 1 sites and find its letters without
+    sorting it: the peaks read 4.2 and 4.0 window sizes (6.3 and 6.1 with a sort)."""
+    tracemalloc.start()
+    try:
+        count()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 8 * (2**19 + 1)
 
 
 class TestEntropyReport:

@@ -170,22 +170,42 @@ FEW_EDGES = np.array(
 FEW_BITS = st.one_of(st.sampled_from(FEW_EDGES.tolist()), st.integers(-(2**63), 2**63 - 1))
 
 
+def arranged(data, values, rows):
+    """`rows` entries of the distinct `values`, each at least once, in random order."""
+    count = len(values)
+    picks = data.draw(st.lists(st.integers(0, count - 1), min_size=rows - count, max_size=rows - count))
+    order = data.draw(st.permutations(list(range(count)) + picks))
+    return values[order]
+
+
 def few_valued(data, count, rows):
     """A column of exactly `count` distinct bit patterns, each at least once, in random order."""
     patterns = data.draw(st.lists(FEW_BITS, min_size=count, max_size=count, unique=True))
-    picks = data.draw(st.lists(st.integers(0, count - 1), min_size=rows - count, max_size=rows - count))
-    order = data.draw(st.permutations(list(range(count)) + picks))
-    return np.array(patterns, dtype=np.int64)[order]
+    return arranged(data, np.array(patterns, dtype=np.int64), rows)
+
+
+def few_letters(data, count, rows):
+    """A finite float window of exactly `count` distinct letters, each at least once, in
+    random order: 0, whose rows take both signs, then two negative letters, then any."""
+    nonzero = st.floats(allow_nan=False, allow_infinity=False).filter(bool)
+    others = data.draw(st.lists(nonzero, min_size=count - 1, max_size=count - 1, unique_by=abs))
+    letters = [0.0] + [-abs(x) for x in others[:2]] + others[2:]
+    window = arranged(data, np.array(letters), rows)
+    signs = data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
+    window[(window == 0) & np.array(signs)] = -0.0
+    return window
 
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), count=st.integers(1, 6), extra=st.integers(0, 30))
 def test_distinct_equals_unique(data, count, extra):
-    bits = few_valued(data, count, count + extra)
-    distinct, inverse = _util._distinct(bits)
-    expected, expected_inverse = np.unique(bits, return_inverse=True)
-    assert distinct.dtype == expected.dtype and inverse.dtype == expected_inverse.dtype
-    assert np.array_equal(distinct, expected) and np.array_equal(inverse, expected_inverse)
+    """On the writer's bit patterns and on a float window, compared as floats: letters in
+    numeric order, negative ones included, and -0.0 one letter with 0.0."""
+    for values in (few_valued(data, count, count + extra), few_letters(data, count, count + extra)):
+        distinct, inverse = _util._distinct(values)
+        expected, expected_inverse = np.unique(values, return_inverse=True)
+        assert distinct.dtype == expected.dtype and inverse.dtype == expected_inverse.dtype
+        assert np.array_equal(distinct, expected) and np.array_equal(inverse, expected_inverse)
 
 
 @pytest.mark.parametrize("count", [_util._FEW_DISTINCT, _util._FEW_DISTINCT + 1])
