@@ -1,6 +1,8 @@
-"""Shared helpers: 12-significant-digit numbers, CSV/JSON tables, sort-free dedupe.
+"""Shared helpers: 12-significant-digit numbers, CSV/JSON tables, reports, sort-free dedupe.
 
-fmt, round12 and _json_float are the scalar rules for one cell.  write_table
+fmt, round12 and _json_float are the scalar rules for one cell.  json_form is
+the one JSON form of a report: its fields in order, every float through
+round12; a model echo (ModelSpec.to_json) is written verbatim.  write_table
 writes whole columns with the same bytes: integers by digit passes, floats
 from 12 digits computed for all of a column's distinct values at once, with
 the scalar rule kept for the values that arithmetic does not settle.
@@ -8,6 +10,7 @@ the scalar rule kept for the values that arithmetic does not settle.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from functools import cache, partial
 from pathlib import Path
@@ -33,6 +36,21 @@ def fmt(x) -> str:
 def round12(x: float) -> float:
     """Round to 12 significant digits (JSON serialisation boundary)."""
     return float(format(float(x), ".12g"))
+
+
+def json_form(obj):
+    """JSON value of a report: a dataclass becomes an object of its fields in
+    field order, a tuple or list an array, a dict an object with the same
+    keys; every float goes through round12, and anything else is kept."""
+    if isinstance(obj, float):
+        return round12(obj)
+    if dataclasses.is_dataclass(obj):
+        return {f.name: json_form(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, (tuple, list)):
+        return [json_form(x) for x in obj]
+    if isinstance(obj, dict):
+        return {key: json_form(value) for key, value in obj.items()}
+    return obj
 
 
 def _json_float(x: float) -> str:

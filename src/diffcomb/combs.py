@@ -441,9 +441,10 @@ def _fill_block(spec: ModelSpec, out: np.ndarray, first: int) -> None:
         _fill_block(coin, out, first)
         out *= np.where(index_uniforms(spec.seed, first, first + out.size - 1) < spec.p, 1.0, -1.0)
         return
-    cycle = spec.cycle
-    n = np.arange(first, first + out.size)
-    out[:] = rs_weights(n) if cycle is None else np.asarray(cycle)[n % len(cycle)]
+    if spec.cycle is None:
+        out[:] = rs_weights(np.arange(first, first + out.size))
+    else:  # the cycle turned to start at first, repeated over the block
+        out[:] = np.tile(np.roll(spec.cycle, -first), -(-out.size // len(spec.cycle)))[: out.size]
 
 
 def _sign_bits(spec: ModelSpec, first: int, last: int) -> np.ndarray:

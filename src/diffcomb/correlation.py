@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._util import round12, write_table
+from ._util import json_form, write_table
 from .combs import (
     ModelSpec,
     _check_tolerance,
@@ -100,20 +100,19 @@ def analytic_autocorrelation(spec: ModelSpec, M: int) -> Autocorrelation:
     its shape: the cyclic means c(k) c(k + m) over one period of a cycle c
     (w * w for the constant w); a delta at lag 0 for Rudin-Shapiro; and for
     a coin model the base coefficients damped by (2p - 1)**2 away from lag 0.
-    The window cap bounds the 2M + 1 lags, and the work budget the
-    min(2M + 1, q) cyclic dot products of length q of a cycle of period q."""
+    The window cap bounds the 2M + 1 lags, and the work budget the cyclic
+    means of a cycle of period q: dot products of length q at the first
+    min(2M + 1, q) lags, tiled over all 2M + 1."""
     if M < 0:
         raise ValueError(f"max lag M must be nonnegative, got {M}")
     _check_window_length(2 * M + 1)
     cycle, coin = spec.cycle, spec.coin_base
     if cycle is not None:
         c = np.asarray(cycle)
-        _check_work(min(2 * M + 1, c.size), "lags", c.size, "work")
-        residues = np.arange(-M, M + 1) % c.size
-        distinct = residues[: c.size]  # the first q of 2M + 1 consecutive lags differ mod q
-        cyclic = np.empty(c.size)
-        cyclic[distinct] = np.array([float(c @ np.roll(c, -k)) for k in distinct]) / c.size
-        eta = cyclic[residues]
+        lags = range(-M, -M + min(2 * M + 1, c.size))
+        _check_work(len(lags), "lags", c.size, "work")
+        means = np.array([float(c @ np.roll(c, -k)) for k in lags]) / c.size
+        eta = np.tile(means, -(-(2 * M + 1) // means.size))[: 2 * M + 1]
     elif coin is None:
         eta = np.zeros(2 * M + 1)
     else:
@@ -138,11 +137,7 @@ class RecursionCheckReport:
         return not self.violations
 
     def to_json(self) -> dict:
-        return {
-            "max_index": self.max_index,
-            "checked": self.checked,
-            "violations": self.violations,
-        }
+        return json_form(self)
 
 
 def _claimed_pair(max_index: int) -> tuple[np.ndarray, np.ndarray]:
@@ -216,12 +211,7 @@ class CorrelationComparison:
     passed: bool
 
     def to_json(self) -> dict:
-        return {
-            "max_lag": self.max_lag,
-            "distance": round12(self.distance),
-            "tolerance": round12(self.tolerance),
-            "passed": self.passed,
-        }
+        return json_form(self)
 
 
 def compare_autocorrelations(

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import _distinct, round12, write_table
+from ._util import _distinct, json_form, write_table
 from .combs import ModelSpec, _check_probability, _check_window_length, _check_work, generate_window
 
 
@@ -83,7 +83,7 @@ def block_entropy(spec: ModelSpec, N: int, k: int) -> float:
     # Counts in lexicographic order of the subwords, as np.unique would list them.
     counts = np.bincount(ranks, minlength=distinct)
     probabilities = counts / ranks.size
-    return float(-(probabilities * np.log(probabilities)).sum() / k)
+    return float(-(probabilities * np.log(probabilities)).sum() / k) + 0.0  # -0.0 -> 0.0
 
 
 @dataclass
@@ -167,13 +167,10 @@ class EntropyReport:
     patches: PatchComplexity | None = None
 
     def to_json(self) -> dict:
-        out = {
-            "model": self.spec.to_json(),
-            "exact_entropy": round12(self.exact),
-            "block_length": self.block_length,
-            "block_entropy_per_symbol": round12(self.block_entropy_per_symbol),
-            "window_half_size": self.window_half_size,
-        }
+        own = json_form({"exact_entropy": self.exact, "block_length": self.block_length,
+                         "block_entropy_per_symbol": self.block_entropy_per_symbol,
+                         "window_half_size": self.window_half_size})
+        out = {"model": self.spec.to_json(), **own}  # a model echo is never rounded
         if self.patches is not None:
             out["patch_counts"] = self.patches.to_json()
         return out

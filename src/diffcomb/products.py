@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import round12, write_table
+from ._util import json_form, write_table
 from .combs import _check_window_length
 from .correlation import Autocorrelation
 from .spectra import SpectralMeasure
@@ -75,15 +75,7 @@ class ProductSpectralMeasure:
         )
 
     def to_json(self) -> dict:
-        return {
-            "point_masses": [
-                [[round12(k1), round12(k2)], round12(w)] for (k1, k2), w in self.point_masses
-            ],
-            "lines_fixed_k1": [[round12(k1), round12(w)] for k1, w in self.lines_fixed_k1],
-            "lines_fixed_k2": [[round12(k2), round12(w)] for k2, w in self.lines_fixed_k2],
-            "plane_level": round12(self.plane_level),
-            "sc": "none-modelled",
-        }
+        return {**json_form(self), "sc": "none-modelled"}
 
 
 def product_diffraction(a: SpectralMeasure, b: SpectralMeasure) -> ProductSpectralMeasure:

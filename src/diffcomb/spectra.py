@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._util import round12, write_table
+from ._util import json_form, write_table
 from .combs import (
     DEFAULT_SEEDS,
     ModelSpec,
@@ -110,14 +110,7 @@ class BraggWeightEstimate:
     seeds: tuple[int, ...] | None = None
 
     def to_json(self) -> dict:
-        return {
-            "position": round12(self.position),
-            "entries": [[N, round12(w)] for N, w in self.entries],
-            "limit": round12(self.limit),
-            "growth": self.growth,
-            "growth_slope": None if self.growth_slope is None else round12(self.growth_slope),
-            "seeds": None if self.seeds is None else list(self.seeds),
-        }
+        return json_form(self)
 
 
 def bragg_weight(spec: ModelSpec, k0, N_list, seeds=None) -> BraggWeightEstimate:
@@ -224,11 +217,7 @@ class SpectralMeasure:
         return float(sum(weight for _, weight in self.bragg) + self.ac_level)
 
     def to_json(self) -> dict:
-        return {
-            "bragg": [[round12(pos), round12(weight)] for pos, weight in self.bragg],
-            "ac_level": round12(self.ac_level),
-            "sc": self.sc,
-        }
+        return json_form(self)
 
 
 def analytic_diffraction(spec: ModelSpec) -> SpectralMeasure:
@@ -283,14 +272,7 @@ class SpectralComparison:
     masses_b: list[float]
 
     def to_json(self) -> dict:
-        return {
-            "bins": self.bins,
-            "distance": round12(self.distance),
-            "tolerance": round12(self.tolerance),
-            "passed": self.passed,
-            "masses_a": [round12(x) for x in self.masses_a],
-            "masses_b": [round12(x) for x in self.masses_b],
-        }
+        return json_form(self)
 
 
 def spectral_homometry(

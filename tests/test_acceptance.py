@@ -3,13 +3,16 @@
 Each test covers one numbered claim about the package and prints a single
 pass/fail line; run `pytest tests/test_acceptance.py -s -v` to see every line
 even when all checks pass.  Tolerances are frozen from an offline calibration
-run and sit well above the observed deviations.
+run and sit well above the observed deviations.  Next to checks 3 and 4, two
+oracle tests hold the coin family's seed-ensemble means to their exact
+finite-window values.
 """
 
 import math
 import time
 
 import numpy as np
+import pytest
 
 import diffcomb as dc
 from diffcomb.cli import main as cli_main
@@ -90,6 +93,68 @@ def test_4_homometric_family():
         for i in range(len(specs)):
             for j in range(i + 1, len(specs)):
                 assert np.max(np.abs(binned[i] - binned[j])) <= PAIRWISE_TOL
+
+
+# The coin family's exact finite-window mean.  A +-1 base b whose signs are each
+# kept with probability p has E[w(n) w(n')] = (2p - 1)**2 b(n) b(n') for n != n',
+# so at every N, not only in the limit (Baake & Grimm, arXiv:0810.5750):
+#   E[I_N(k)] = (2p - 1)**2 I_N^b(k) + 4p(1 - p), and over a bin of G / bins grid
+#   points E[mass] = (2p - 1)**2 mass^b + 4p(1 - p) / bins;
+#   E[eta_N(m)] = (2p - 1)**2 eta_N^b(m) for m != 0.
+# The means over seeds 1..50 must lie within COIN_MEAN_Z standard errors of these
+# at every bin and lag, and the same bound must refuse the means expected at
+# p -+ 0.02 and those of the unflipped base (p = 1).  Measured: the right means
+# read |z| <= 2.9, the wrong ones |z| >= 11.  One grid point's intensity is close
+# to exponential, whose sample standard error shrinks with its mean (seeds 1..50
+# of bernoulli(0.6), N = 2**13, read |z| = 6.5 at k = 1/3), so the periodogram is
+# compared per bin of 64 grid points, whose sum is close to normal.
+COIN_MEAN_Z = 5.0
+COIN_SEEDS = range(1, 51)
+COIN_BASES = {"constant": dc.ModelSpec.constant(1.0),
+              "period-3": dc.ModelSpec.periodic([1.0, -1.0, -1.0])}
+
+
+def _coin(base, p, seed):
+    if base.model == "constant":
+        return dc.ModelSpec.bernoulli(p, seed)
+    return dc.ModelSpec.bernoullised(base, p, seed)
+
+
+def _within_bound(samples, expected) -> bool:
+    samples = np.asarray(samples)
+    se = samples.std(axis=0, ddof=1) / math.sqrt(len(samples))
+    return bool(np.all(np.abs(samples.mean(axis=0) - expected) <= COIN_MEAN_Z * se))
+
+
+def _check_coin_mean(samples, base_values, p, diffuse_scale):
+    """The means match (2p - 1)**2 base + 4p(1 - p) diffuse_scale at p, and not
+    at a wrong p or for the unflipped base."""
+    def expected(q):
+        return (2 * q - 1) ** 2 * base_values + 4 * q * (1 - q) * diffuse_scale
+
+    assert _within_bound(samples, expected(p))
+    for wrong in (p - 0.02, p + 0.02, 1.0):
+        assert not _within_bound(samples, expected(wrong))
+
+
+@pytest.mark.parametrize("p", (0.25, 0.6, 0.9))
+@pytest.mark.parametrize("base", COIN_BASES.values(), ids=list(COIN_BASES))
+def test_coin_family_binned_periodogram_mean_is_exact(base, p):
+    N, G, bins = 2**13, 2**12, 64
+    masses = [dc.binned_measure(dc.periodogram(_coin(base, p, seed), N, G), bins).masses
+              for seed in COIN_SEEDS]
+    base_masses = dc.binned_measure(dc.periodogram(base, N, G), bins).masses
+    _check_coin_mean(masses, base_masses, p, 1 / bins)
+
+
+@pytest.mark.parametrize("p", (0.25, 0.6, 0.9))
+@pytest.mark.parametrize("base", COIN_BASES.values(), ids=list(COIN_BASES))
+def test_coin_family_autocorrelation_mean_is_exact(base, p):
+    N, M = 2**13, 16
+    eta = [dc.empirical_autocorrelation(_coin(base, p, seed), N, M).eta[M + 1 :]
+           for seed in COIN_SEEDS]
+    base_eta = dc.empirical_autocorrelation(base, N, M).eta[M + 1 :]
+    _check_coin_mean(eta, base_eta, p, 0.0)
 
 
 def test_5_entropy_brackets():

@@ -1,6 +1,7 @@
 """Entropy formulas, block-entropy estimates, and patch counting."""
 
 import collections
+import json
 import math
 import tracemalloc
 
@@ -304,6 +305,22 @@ class TestEntropyReport:
         assert data["exact_entropy"] == 0.0
         expected = [[L, c] for L, c in zip(range(1, 9), RS_PATCH_COUNTS[:8])]
         assert data["patch_counts"]["counts"] == expected
+
+    def test_model_echo_is_verbatim_and_own_numbers_rounded(self):
+        """The model echo keeps p in full; only the report's own floats take 12 digits."""
+        p = 0.1234567890123456
+        data = dc.entropy_report(dc.ModelSpec.bernoulli(p, 3), 1000, 2).to_json()
+        assert data["model"] == {"model": "bernoulli", "p": p, "seed": 3}
+        assert data["exact_entropy"] == 0.373756285829 != dc.bernoulli_entropy(p)
+        text = json.dumps(data)
+        assert '"p": 0.1234567890123456' in text
+        assert '"exact_entropy": 0.373756285829,' in text
+
+    def test_one_letter_window_has_positive_zero_entropy(self):
+        """A one-letter window's entropy is 0.0, never -0.0, in the value and the report."""
+        assert math.copysign(1.0, dc.block_entropy(dc.ModelSpec.constant(0.5), 1000, 2)) == 1.0
+        text = json.dumps(dc.entropy_report(dc.ModelSpec.constant(0.5), 1000, 2).to_json())
+        assert '"block_entropy_per_symbol": 0.0,' in text
 
     def test_patch_request_on_stochastic_model_rejected(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@
 import json
 import math
 import tempfile
+from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
 
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diffcomb import _util
-from diffcomb._util import fmt, round12, write_json, write_table
+from diffcomb._util import fmt, json_form, round12, write_json, write_table
 
 FORMATS = ("csv", "json")
 
@@ -301,3 +302,46 @@ def test_json_report_refuses_a_non_finite_value(tmp_path, value):
     with pytest.raises(ValueError, match="not JSON compliant"):
         write_json(path, {"entries": [[1, 0.5], [2, value]]})
     assert not path.exists()
+
+
+@dataclass
+class _Report:
+    """Fields deliberately out of alphabetical order, with nested floats."""
+
+    zeta: float
+    count: int
+    passed: bool
+    label: str
+    missing: None
+    pairs: tuple
+    rows: list
+    table: dict
+
+
+def test_json_form_rounds_every_nested_float_and_keeps_the_rest():
+    x = 0.1234567890123456
+    report = _Report(x, 2**63 - 1, True, "1.2345678901234", None,
+                     ((x, (1, x)), [x]), [[x, 3], [-x]], {"b": x, "a": [x, False]})
+    r = round12(x)
+    assert r != x
+    data = json_form(report)
+    assert data == {
+        "zeta": r,
+        "count": 2**63 - 1,
+        "passed": True,
+        "label": "1.2345678901234",
+        "missing": None,
+        "pairs": [[r, [1, r]], [r]],
+        "rows": [[r, 3], [-r]],
+        "table": {"b": r, "a": [r, False]},
+    }
+    assert list(data) == ["zeta", "count", "passed", "label", "missing", "pairs", "rows", "table"]
+    assert list(data["table"]) == ["b", "a"]
+    # Ints and bools keep their type: 2**63 - 1 is not rounded, True is not 1.0.
+    assert type(data["count"]) is int and type(data["passed"]) is bool
+    assert type(json_form(np.float64(x))) is float
+
+
+def test_json_form_of_a_report_nests_dataclasses():
+    inner = _Report(1.0, 1, False, "", None, (), [], {})
+    assert json_form({"inner": inner, "x": 2.5}) == {"inner": json_form(inner), "x": 2.5}
