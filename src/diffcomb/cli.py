@@ -86,19 +86,22 @@ def _parse_seeds(text: str | None) -> range | tuple[int, ...] | None:
     return seeds
 
 
-def _parse_size_list(text: str) -> list[int]:
-    sizes = [int(part) for part in text.split(",") if part.strip()]
-    if not sizes:
-        raise ValueError("size list is empty")
-    return sizes
-
-
 def _seeds_read(specs, ensemble=None) -> list[int] | None:
     """Seeds of the random streams a run read: the ensemble when a stochastic model
     was averaged over it, else those of the stochastic models it generated, else None."""
     if ensemble is not None and any(spec.is_stochastic for spec in specs):
         return list(ensemble)
     return [spec.seed for spec in specs if spec.seed is not None] or None
+
+
+def _mode_flags(args, **flags) -> None:
+    """flags maps a flag's dest to (the mode that reads it, its default): refuse
+    the flag in any other mode, and give it its default when it is not given."""
+    for dest, (mode, default) in flags.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+        elif args.mode != mode:
+            raise ValueError(f"--{dest} applies to --mode {mode} only")
 
 
 def _autocorrelation(spec: ModelSpec, analytic: bool, N: int, M: int):
@@ -142,7 +145,8 @@ def _diffract(args, spec: ModelSpec) -> _Outcome:
 
 def _bragg(args, spec: ModelSpec) -> _Outcome:
     seeds = _parse_seeds(args.seeds)
-    estimate = bragg_weight(spec, args.k0, _parse_size_list(args.N_list), seeds)
+    sizes = [int(part) for part in args.N_list.split(",") if part.strip()]
+    estimate = bragg_weight(spec, args.k0, sizes, seeds)
     summary = f"weight at k = {fmt(estimate.position)}: limit {fmt(estimate.limit)}"
     summary += f" ({estimate.growth})"
     return _Outcome({"": estimate.to_json()}, summary, _seeds_read([spec], estimate.seeds))
@@ -158,10 +162,10 @@ def _spectrum(args, spec: ModelSpec) -> _Outcome:
 
 def _homometry(args, spec_a: ModelSpec, spec_b: ModelSpec) -> _Outcome:
     # Before either side is computed: the flags, then the tolerance.
-    if args.mode == "autocorr" and args.seeds is not None:
-        raise ValueError("--seeds applies to --mode spectral only")
     if args.mode == "spectral" and (args.analytic_a or args.analytic_b):
         raise ValueError("--analytic-a and --analytic-b apply to --mode autocorr only")
+    _mode_flags(args, seeds=("spectral", None), M=("autocorr", 64), G=("spectral", 4096),
+                bins=("spectral", 16))
     _check_tolerance(args.tol)
     ensemble = _parse_seeds(args.seeds) or DEFAULT_SEEDS
     if args.mode == "autocorr":
@@ -197,6 +201,7 @@ def _complexity(args, spec: ModelSpec) -> _Outcome:
 
 
 def _product(args, spec_a: ModelSpec, spec_b: ModelSpec) -> _Outcome:
+    _mode_flags(args, M=("autocorr", 8), N=("autocorr", 256), empirical=("autocorr", False))
     if args.mode == "diffraction":
         measure = product_diffraction(analytic_diffraction(spec_a), analytic_diffraction(spec_b))
         return _Outcome({"": measure.to_json()}, f"total mass {fmt(measure.total())}")
@@ -307,9 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", required=True, help="second model (JSON, file, or name)")
     p.add_argument("--mode", choices=("autocorr", "spectral"), default="autocorr")
     p.add_argument("--N", type=int, default=16384, help="window half-size")
-    p.add_argument("--M", type=int, default=64, help="maximum lag (autocorr mode)")
-    p.add_argument("--G", type=int, default=4096, help="grid size (spectral mode)")
-    p.add_argument("--bins", type=int, default=16, help="bin count (spectral mode)")
+    p.add_argument("--M", type=int, default=None, help="maximum lag (autocorr mode)")
+    p.add_argument("--G", type=int, default=None, help="grid size (spectral mode)")
+    p.add_argument("--bins", type=int, default=None, help="bin count (spectral mode)")
     p.add_argument("--tol", type=float, default=0.05)
     p.add_argument("--analytic-a", action="store_true",
                    help="closed form for side a (autocorr mode)")
@@ -334,9 +339,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", required=True, help="first factor model")
     p.add_argument("--b", required=True, help="second factor model")
     p.add_argument("--mode", choices=("autocorr", "diffraction"), default="autocorr")
-    p.add_argument("--M", type=int, default=8, help="maximum lag per axis")
-    p.add_argument("--N", type=int, default=256, help="window half-size (with --empirical)")
-    p.add_argument("--empirical", action="store_true", help="estimate factors from windows")
+    p.add_argument("--M", type=int, default=None, help="maximum lag per axis")
+    p.add_argument("--N", type=int, default=None, help="window half-size (with --empirical)")
+    p.add_argument("--empirical", action="store_true", default=None,
+                   help="estimate factors from windows")
 
     p = command("verify-rs", _verify_rs, "exact check of the Rudin-Shapiro correlation identity",
                 model=False)

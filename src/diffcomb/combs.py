@@ -90,9 +90,14 @@ def max_window_length() -> int:
         cap = int(raw)
     except ValueError:
         raise ValueError(f"{MAX_WINDOW_ENV} must be an integer, got {raw!r}") from None
-    if cap < 1:
-        raise ValueError(f"{MAX_WINDOW_ENV} must be positive, got {cap}")
+    _check_count(MAX_WINDOW_ENV, cap)
     return cap
+
+
+def _check_count(name: str, value: int, least: int = 1) -> None:
+    """Refuse a size or count below least (1: positive, 0: nonnegative)."""
+    if value < least:
+        raise ValueError(f"{name} must be {'positive' if least else 'nonnegative'}, got {value}")
 
 
 def _check_window_length(length: int) -> None:

@@ -20,6 +20,7 @@ import numpy as np
 from ._util import json_form, write_table
 from .combs import (
     ModelSpec,
+    _check_count,
     _check_tolerance,
     _check_window,
     _check_window_length,
@@ -80,10 +81,8 @@ def empirical_autocorrelation(spec: ModelSpec, N: int, M: int) -> Autocorrelatio
     exact integers, the values its float products sum to below 2**53 sites,
     from the sign bits of [-N, N+M]: one bit per site, no float window.
     """
-    if N < 1:
-        raise ValueError(f"window half-size N must be positive, got {N}")
-    if M < 0:
-        raise ValueError(f"max lag M must be nonnegative, got {M}")
+    _check_count("window half-size N", N)
+    _check_count("max lag M", M, 0)
     _check_window(-N - M, N + M)
     size = 2 * N + 1
     if spec.is_binary:
@@ -103,8 +102,7 @@ def analytic_autocorrelation(spec: ModelSpec, M: int) -> Autocorrelation:
     The window cap bounds the 2M + 1 lags, and the work budget the cyclic
     means of a cycle of period q: dot products of length q at the first
     min(2M + 1, q) lags, tiled over all 2M + 1."""
-    if M < 0:
-        raise ValueError(f"max lag M must be nonnegative, got {M}")
+    _check_count("max lag M", M, 0)
     _check_window_length(2 * M + 1)
     cycle, coin = spec.cycle, spec.coin_base
     if cycle is not None:
@@ -161,8 +159,7 @@ def verify_rs_recursions(max_index: int) -> RecursionCheckReport:
     violation, its values as Fractions.  The window cap bounds the
     2 * max_index + 1 lags.
     """
-    if max_index < 1:
-        raise ValueError(f"max_index must be >= 1, got {max_index}")
+    _check_count("max_index", max_index)
     _check_window_length(2 * max_index + 1)
     a, b = _claimed_pair(max_index)
     found = []  # (t, system, 4 * lhs, 4 * rhs) of every violated equation

@@ -9,7 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import _distinct, json_form, write_table
-from .combs import ModelSpec, _check_probability, _check_window_length, _check_work, generate_window
+from .combs import (ModelSpec, _check_count, _check_probability, _check_window_length,
+                    _check_work, generate_window)
 
 
 def bernoulli_entropy(p: float) -> float:
@@ -68,10 +69,8 @@ def block_entropy(spec: ModelSpec, N: int, k: int) -> float:
     plug-in estimate to be meaningful.  A k at or past the bit length of
     2N+1 is refused before 2**k is formed, so a huge k costs nothing.
     """
-    if k < 1:
-        raise ValueError(f"block length k must be positive, got {k}")
-    if N < 1:
-        raise ValueError(f"window half-size N must be positive, got {N}")
+    _check_count("block length k", k)
+    _check_count("window half-size N", N)
     size = 2 * N + 1
     if k >= size.bit_length() or size < 100 * 2**k:
         raise ValueError(
@@ -124,10 +123,8 @@ def _check_patch_lengths(spec: ModelSpec, N: int, L_max: int) -> None:
     passes over the 4N + 1 sites of the doubled window are budgeted."""
     if spec.is_stochastic:
         raise ValueError("patch counting needs a deterministic model")
-    if L_max < 1:
-        raise ValueError(f"L_max must be positive, got {L_max}")
-    if N < 1:
-        raise ValueError(f"window half-size N must be positive, got {N}")
+    _check_count("L_max", L_max)
+    _check_count("window half-size N", N)
     if 2 * N + 1 < 100 * L_max:
         raise ValueError(
             f"window of {2 * N + 1} sites is too small for L_max={L_max};"

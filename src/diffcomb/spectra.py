@@ -16,9 +16,9 @@ import numpy as np
 
 from ._util import json_form, write_table
 from .combs import (
-    DEFAULT_SEEDS,
     ModelSpec,
     WeightWindow,
+    _check_count,
     _check_tolerance,
     _check_window_length,
     ensemble,
@@ -51,10 +51,8 @@ class Periodogram:
 
 def periodogram(spec: ModelSpec, N: int, G: int) -> Periodogram:
     """Scaled intensity of the window [-N, N] on the G-point wavenumber grid."""
-    if N < 1:
-        raise ValueError(f"window half-size N must be positive, got {N}")
-    if G < 1:
-        raise ValueError(f"grid size G must be positive, got {G}")
+    _check_count("window half-size N", N)
+    _check_count("grid size G", G)
     _check_window_length(G)
     w = generate_window(spec, -N, N).weights
     residues = np.arange(-N, N + 1) % G
@@ -99,7 +97,8 @@ class BraggWeightEstimate:
     log(2N+1): a point mass keeps the weight roughly constant (slope near 0),
     a purely continuous spectrum keeps the intensity bounded so the weight
     decays like 1/N (slope near -1).  The cut is at -1/2.  Weights that are
-    all exactly 0 are labelled continuous (no point mass), with no slope fitted.
+    all exactly 0 are labelled continuous (no point mass); some but not all
+    exactly 0 are indeterminate, as 0 has no logarithm.  Neither fits a slope.
     """
 
     position: float
@@ -122,8 +121,8 @@ def bragg_weight(spec: ModelSpec, k0, N_list, seeds=None) -> BraggWeightEstimate
     sizes = [int(N) for N in N_list]
     if not sizes:
         raise ValueError("N_list must be nonempty")
-    if any(N < 1 for N in sizes):
-        raise ValueError("window half-sizes must be positive")
+    for N in sizes:
+        _check_count("window half-size N", N)
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("N_list must be strictly increasing")
     streams = ensemble(spec, seeds, 2 * sizes[-1] + 1)
@@ -141,13 +140,12 @@ def bragg_weight(spec: ModelSpec, k0, N_list, seeds=None) -> BraggWeightEstimate
         for j, N in enumerate(sizes)
     ]
     slope, growth = None, "indeterminate"
-    if all(w == 0.0 for _, w in entries):
+    weights = [w for _, w in entries]
+    if not any(weights):
         growth = "continuous"
-    elif len(entries) >= 2:
+    elif len(entries) >= 2 and all(weights):
         lengths = np.log([2 * N + 1 for N, _ in entries])
-        # Guard exact spectral zeros so the log stays finite.
-        weights = np.log([max(w, 1e-300) for _, w in entries])
-        slope = float(np.polyfit(lengths, weights, 1)[0])
+        slope = float(np.polyfit(lengths, np.log(weights), 1)[0])
         growth = "pure-point" if slope > -0.5 else "continuous"
     seed_list = tuple(stream.seed for stream in streams) if spec.is_stochastic else None
     return BraggWeightEstimate(k, entries, entries[-1][1], growth, slope, seed_list)
@@ -182,8 +180,7 @@ class BinnedMeasure:
 
 def binned_measure(pg: Periodogram, bins: int) -> BinnedMeasure:
     """Integrate a periodogram over equal bins; bins must divide the grid size."""
-    if bins < 1:
-        raise ValueError(f"bins must be positive, got {bins}")
+    _check_count("bins", bins)
     if pg.grid_size % bins != 0:
         raise ValueError(f"bins={bins} does not divide grid size {pg.grid_size}")
     per_bin = pg.grid_size // bins
@@ -232,7 +229,7 @@ def analytic_diffraction(spec: ModelSpec) -> SpectralMeasure:
         q = c.size
         weights = np.abs(np.fft.fft(c) / q) ** 2
         # Numerically zero Fourier amplitudes are true extinctions; drop them.
-        floor = 1e-12 * max(float(np.mean(c**2)), 1e-300)
+        floor = 1e-12 * float(np.mean(c**2))
         bragg = tuple(
             (j / q, float(weights[j])) for j in range(q) if weights[j] > floor
         )
@@ -248,10 +245,8 @@ def analytic_diffraction(spec: ModelSpec) -> SpectralMeasure:
 
 # ── Homometry in spectral form ─────────────────────────────────────────────
 
-def ensemble_binned_masses(
-    spec: ModelSpec, N: int, G: int, bins: int, seeds=DEFAULT_SEEDS
-) -> np.ndarray:
-    """Binned periodogram masses; stochastic specs are averaged over seeds,
+def ensemble_binned_masses(spec: ModelSpec, N: int, G: int, bins: int, seeds=None) -> np.ndarray:
+    """Binned periodogram masses; stochastic specs are averaged over seeds (1..50 if None),
     whose number times the 2N + 1 sites is bounded by the ensemble budget."""
     masses = [
         binned_measure(periodogram(stream, N, G), bins).masses
@@ -276,7 +271,7 @@ class SpectralComparison:
 
 
 def spectral_homometry(
-    a: ModelSpec, b: ModelSpec, N: int, G: int, bins: int, tol: float, seeds=DEFAULT_SEEDS
+    a: ModelSpec, b: ModelSpec, N: int, G: int, bins: int, tol: float, seeds=None
 ) -> SpectralComparison:
     """Compare binned finite-size spectra of two models (ensemble-averaged for
     stochastic specs) and report the worst bin discrepancy against tol."""

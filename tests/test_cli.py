@@ -283,6 +283,22 @@ class TestBragg:
         assert data["growth"] == "continuous"
         assert data["growth_slope"] is None
 
+    def test_partly_zero_weights_are_indeterminate(self, tmp_path):
+        out = tmp_path / "bragg.json"
+        assert main(["bragg", "--model", '{"model": "periodic", "pattern": [1, -1, 0]}',
+                     "--k0", "0", "--N-list", "1,2", "--out", str(out)]) == 0
+        data = json.loads(out.read_text())
+        assert data["entries"][0] == [1, 0.0]
+        assert data["growth"] == "indeterminate"
+        assert data["growth_slope"] is None
+
+    def test_empty_size_list_exits_2(self, tmp_path, capsys):
+        argv = ["bragg", "--model", "constant", "--k0", "0", "--N-list", " , ",
+                "--out", str(tmp_path / "bragg.json")]
+        assert main(argv) == 2
+        assert "N_list must be nonempty" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_seed_range_syntax(self, tmp_path):
         out = tmp_path / "bragg.json"
         code = main(["bragg", "--model", COIN_JSON, "--k0", "0",
@@ -364,6 +380,19 @@ class TestHomometry:
     def test_a_flag_the_mode_does_not_read_exits_2(self, tmp_path, capsys, argv, message):
         argv = ["homometry", "--a", RS_JSON, "--b", "rudin_shapiro", "--N", "64", "--M", "4",
                 "--G", "16", "--bins", "4", *argv, "--out", str(tmp_path / "hom.json")]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--G", "16"], "--G applies to --mode spectral only"),
+        (["--bins", "4"], "--bins applies to --mode spectral only"),
+        (["--mode", "spectral", "--M", "4"], "--M applies to --mode autocorr only"),
+    ], ids=["autocorr-G", "autocorr-bins", "spectral-M"])
+    def test_a_size_flag_the_mode_does_not_read_exits_2(self, tmp_path, capsys, argv, message):
+        # refused before the tolerance is checked
+        argv = ["homometry", "--a", RS_JSON, "--b", "rudin_shapiro", "--N", "64", "--tol", "nan",
+                *argv, "--out", str(tmp_path / "hom.json")]
         assert main(argv) == 2
         assert message in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
@@ -465,6 +494,15 @@ class TestProduct:
         data = json.loads(out.read_text())
         assert data["point_masses"] == [[[0.0, 0.5], 1.0]]
         assert data["plane_level"] == 0.0
+
+    @pytest.mark.parametrize("flag", [["--M", "3"], ["--N", "5"], ["--empirical"]],
+                             ids=["M", "N", "empirical"])
+    def test_diffraction_mode_refuses_autocorr_flags(self, tmp_path, capsys, flag):
+        argv = ["product", "--a", "rudin_shapiro", "--b", "alternating", "--mode", "diffraction",
+                *flag, "--out", str(tmp_path / "prod.json")]
+        assert main(argv) == 2
+        assert f"{flag[0]} applies to --mode autocorr only" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
 
 class TestVerifyRs:

@@ -654,3 +654,44 @@ class TestIndexUniforms:
         monkeypatch.setattr(combs, "_DRAW", 7)
         assert np.array_equal(dc.index_uniforms(5, -40, 60), whole)
         assert np.array_equal(dc.index_uniforms(5, -3, 4), whole[37:45])
+
+
+def _cap_of(monkeypatch, raw):
+    monkeypatch.setenv(dc.MAX_WINDOW_ENV, raw)
+    return dc.max_window_length()
+
+
+# Every size or count argument, with a value one below the least it allows.
+COUNT_REFUSALS = {
+    "window-cap": (lambda mp: _cap_of(mp, "0"), "DIFFCOMB_MAX_WINDOW must be positive, got 0"),
+    "empirical-N": (lambda mp: dc.empirical_autocorrelation(RS, 0, 4),
+                    "window half-size N must be positive, got 0"),
+    "empirical-M": (lambda mp: dc.empirical_autocorrelation(RS, 4, -1),
+                    "max lag M must be nonnegative, got -1"),
+    "analytic-M": (lambda mp: dc.analytic_autocorrelation(RS, -1),
+                   "max lag M must be nonnegative, got -1"),
+    "verify-rs-max-index": (lambda mp: dc.verify_rs_recursions(0),
+                            "max_index must be positive, got 0"),
+    "periodogram-N": (lambda mp: dc.periodogram(RS, 0, 8),
+                      "window half-size N must be positive, got 0"),
+    "periodogram-G": (lambda mp: dc.periodogram(RS, 4, 0), "grid size G must be positive, got 0"),
+    # the first bad size is named
+    "bragg-N": (lambda mp: dc.bragg_weight(RS, 0, [-2, 0, 4]),
+                "window half-size N must be positive, got -2"),
+    "bins": (lambda mp: dc.binned_measure(dc.periodogram(RS, 4, 8), 0),
+             "bins must be positive, got 0"),
+    "block-entropy-k": (lambda mp: dc.block_entropy(RS, 4096, 0),
+                        "block length k must be positive, got 0"),
+    "block-entropy-N": (lambda mp: dc.block_entropy(RS, 0, 2),
+                        "window half-size N must be positive, got 0"),
+    "patch-L-max": (lambda mp: dc.patch_complexity(RS, 4096, 0), "L_max must be positive, got 0"),
+    "patch-N": (lambda mp: dc.patch_complexity(RS, 0, 2),
+                "window half-size N must be positive, got 0"),
+}
+
+
+@pytest.mark.parametrize("call,message", COUNT_REFUSALS.values(), ids=COUNT_REFUSALS)
+def test_every_count_is_refused_by_one_rule(monkeypatch, call, message):
+    with pytest.raises(ValueError) as refused:
+        call(monkeypatch)
+    assert str(refused.value) == message

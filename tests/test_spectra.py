@@ -146,6 +146,12 @@ class TestBraggWeight:
         with pytest.raises(dc.ResourceLimitError, match="exceeds the cap"):
             dc.bragg_weight(RS, 0, [4, 2**61])
 
+    def test_partly_zero_weights_are_indeterminate(self):
+        # zero mean: the window [-1, 1] sums to exactly 0, [-2, 2] to -1; no log of 0 is fitted
+        est = dc.bragg_weight(dc.ModelSpec.periodic([1.0, -1.0, 0.0]), 0, [1, 2])
+        assert est.entries == [(1, 0.0), (2, pytest.approx(0.04, rel=1e-12))]
+        assert est.growth == "indeterminate" and est.growth_slope is None
+
     def test_single_size_is_indeterminate(self):
         est = dc.bragg_weight(ALT, "1/2", [256])
         assert est.growth == "indeterminate" and est.growth_slope is None
