@@ -68,6 +68,18 @@ def _model_from_json(raw: str) -> ModelSpec:
         raise ValueError("model JSON is nested too deeply") from None
 
 
+_SEEDS_SYNTAX = "comma-separated integers '1,2,3' or an inclusive range '1:50'"
+
+
+def _flag_integers(flag: str, text: str, parts, syntax: str) -> list[int]:
+    """int() of each part of a flag's text; a part that is not an integer is
+    refused with the flag's name and syntax."""
+    try:
+        return [int(part) for part in parts]
+    except ValueError:
+        raise ValueError(f"{flag} takes {syntax}, got {text!r}") from None
+
+
 def _parse_seeds(text: str | None) -> range | tuple[int, ...] | None:
     """Seed list: comma-separated integers, or an inclusive range 'a:b' (a range,
     so the ensemble budget counts its seeds without expanding it)."""
@@ -75,12 +87,12 @@ def _parse_seeds(text: str | None) -> range | tuple[int, ...] | None:
         return None
     text = text.strip()
     if ":" in text:
-        lo, hi = text.split(":", 1)
-        first, last = int(lo), int(hi)
+        first, last = _flag_integers("--seeds", text, text.split(":", 1), _SEEDS_SYNTAX)
         if first > last:
             raise ValueError(f"empty seed range {text!r}")
         return range(first, last + 1)
-    seeds = tuple(int(part) for part in text.split(",") if part.strip())
+    parts = [part for part in text.split(",") if part.strip()]
+    seeds = tuple(_flag_integers("--seeds", text, parts, _SEEDS_SYNTAX))
     if not seeds:
         raise ValueError("seed list is empty")
     return seeds
@@ -102,6 +114,14 @@ def _mode_flags(args, **flags) -> None:
             setattr(args, dest, default)
         elif args.mode != mode:
             raise ValueError(f"--{dest} applies to --mode {mode} only")
+
+
+def _window_half_size(args, reads_window: bool, default: int, when: str) -> None:
+    """Refuse --N where the run reads no window, and give it its default when it is not given."""
+    if args.N is None:
+        args.N = default
+    elif not reads_window:
+        raise ValueError(f"--N applies only {when}")
 
 
 def _autocorrelation(spec: ModelSpec, analytic: bool, N: int, M: int):
@@ -128,6 +148,7 @@ def _generate(args, spec: ModelSpec) -> _Outcome:
 
 
 def _autocorr(args, spec: ModelSpec) -> _Outcome:
+    _window_half_size(args, not args.analytic, 4096, "without --analytic")
     result = _autocorrelation(spec, args.analytic, args.N, args.M)
     tail = float(np.max(np.abs(result.eta[result.max_lag + 1 :]))) if args.M > 0 else 0.0
     summary = f"eta(0) = {fmt(result.value(0))}, max |eta(m != 0)| = {fmt(tail)}"
@@ -145,7 +166,8 @@ def _diffract(args, spec: ModelSpec) -> _Outcome:
 
 def _bragg(args, spec: ModelSpec) -> _Outcome:
     seeds = _parse_seeds(args.seeds)
-    sizes = [int(part) for part in args.N_list.split(",") if part.strip()]
+    parts = [part for part in args.N_list.split(",") if part.strip()]
+    sizes = _flag_integers("--N-list", args.N_list, parts, "comma-separated integers '64,256'")
     estimate = bragg_weight(spec, args.k0, sizes, seeds)
     summary = f"weight at k = {fmt(estimate.position)}: limit {fmt(estimate.limit)}"
     summary += f" ({estimate.growth})"
@@ -166,6 +188,9 @@ def _homometry(args, spec_a: ModelSpec, spec_b: ModelSpec) -> _Outcome:
         raise ValueError("--analytic-a and --analytic-b apply to --mode autocorr only")
     _mode_flags(args, seeds=("spectral", None), M=("autocorr", 64), G=("spectral", 4096),
                 bins=("spectral", 16))
+    windowed = args.mode == "spectral" or not (args.analytic_a and args.analytic_b)
+    _window_half_size(args, windowed, 16384, "where a side reads a window,"
+                      " not with both --analytic-a and --analytic-b")
     _check_tolerance(args.tol)
     ensemble = _parse_seeds(args.seeds) or DEFAULT_SEEDS
     if args.mode == "autocorr":
@@ -201,7 +226,9 @@ def _complexity(args, spec: ModelSpec) -> _Outcome:
 
 
 def _product(args, spec_a: ModelSpec, spec_b: ModelSpec) -> _Outcome:
-    _mode_flags(args, M=("autocorr", 8), N=("autocorr", 256), empirical=("autocorr", False))
+    # --N is refused outside autocorr mode first, then without --empirical.
+    _mode_flags(args, M=("autocorr", 8), N=("autocorr", None), empirical=("autocorr", False))
+    _window_half_size(args, args.empirical, 256, "with --empirical")
     if args.mode == "diffraction":
         measure = product_diffraction(analytic_diffraction(spec_a), analytic_diffraction(spec_b))
         return _Outcome({"": measure.to_json()}, f"total mass {fmt(measure.total())}")
@@ -288,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--last", type=int, default=64, help="last lattice index")
 
     p = command("autocorr", _autocorr, "windowed or closed-form autocorrelation", table=True)
-    p.add_argument("--N", type=int, default=4096, help="window half-size")
+    p.add_argument("--N", type=int, default=None, help="window half-size (default 4096)")
     p.add_argument("--M", type=int, default=64, help="maximum lag")
     p.add_argument("--analytic", action="store_true", help="use the closed form")
 
@@ -303,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--N-list", dest="N_list", default="1024,4096,16384",
         help="comma-separated strictly increasing window half-sizes",
     )
-    p.add_argument("--seeds", default=None, help="ensemble seeds: '1,2,3' or '1:50'")
+    p.add_argument("--seeds", default=None, help=f"ensemble seeds: {_SEEDS_SYNTAX}")
 
     command("spectrum", _spectrum, "closed-form spectral measure")
 
@@ -311,7 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", required=True, help="first model (JSON, file, or name)")
     p.add_argument("--b", required=True, help="second model (JSON, file, or name)")
     p.add_argument("--mode", choices=("autocorr", "spectral"), default="autocorr")
-    p.add_argument("--N", type=int, default=16384, help="window half-size")
+    p.add_argument("--N", type=int, default=None,
+                   help="window half-size (default 16384; not with both --analytic-a and -b)")
     p.add_argument("--M", type=int, default=None, help="maximum lag (autocorr mode)")
     p.add_argument("--G", type=int, default=None, help="grid size (spectral mode)")
     p.add_argument("--bins", type=int, default=None, help="bin count (spectral mode)")

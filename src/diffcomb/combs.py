@@ -26,7 +26,8 @@ Weights: a nonzero w or pattern entry has a magnitude in [2**-128, 2**128]
 Memory: generate_window allocates a window once and fills it in blocks of
 _CHUNK = 2**16 sites, each by its shape's rule on the block's own indices, so
 a window costs its own 8 bytes per site plus one block's scratch (about
-3 MiB), whatever its length.  _sign_bits streams the same blocks through one
+3 MiB), whatever its length; a cycle is converted once per window, into its
+repeats over one block (_repeated_cycle).  _sign_bits streams the same blocks through one
 reused block buffer into packed sign bits, one bit per site, for the +-1
 correlation kernel.  The coin draws its Philox words _DRAW = 2**12 sites at a
 time, so the draw buffer stays small enough for the allocator to reuse.
@@ -433,23 +434,36 @@ def generate_window(spec: ModelSpec, first: int, last: int) -> WeightWindow:
     """
     _check_window(first, last)
     weights = np.empty(last - first + 1)
+    repeated = _repeated_cycle(spec, min(_CHUNK, weights.size))
     for start in range(0, weights.size, _CHUNK):
-        _fill_block(spec, weights[start : start + _CHUNK], first + start)
+        _fill_block(spec, weights[start : start + _CHUNK], first + start, repeated)
     return WeightWindow(first, weights)
 
 
-def _fill_block(spec: ModelSpec, out: np.ndarray, first: int) -> None:
-    """Writes the weights of spec at first, first + 1, ... into the block out."""
+def _repeated_cycle(spec: ModelSpec, block: int) -> np.ndarray | None:
+    """The cycle of spec, or of its coin base, repeated so that every block of up
+    to block sites is one slice of it; None for the Rudin-Shapiro signs.  Made
+    once per window, so a long cycle is not converted again for every block."""
+    cycle = (spec.coin_base or spec).cycle
+    if cycle is None:
+        return None
+    return np.pad(cycle, (0, block - 1), mode="wrap")
+
+
+def _fill_block(spec: ModelSpec, out: np.ndarray, first: int, repeated: np.ndarray | None) -> None:
+    """Writes the weights of spec at first, first + 1, ... into the block out,
+    a cycle's as one slice of repeated (_repeated_cycle)."""
     coin = spec.coin_base
     if coin is not None:
         # The base's signs, each kept exactly when the stream's variate is below p.
-        _fill_block(coin, out, first)
+        _fill_block(coin, out, first, repeated)
         out *= np.where(index_uniforms(spec.seed, first, first + out.size - 1) < spec.p, 1.0, -1.0)
         return
-    if spec.cycle is None:
+    if repeated is None:
         out[:] = rs_weights(np.arange(first, first + out.size))
-    else:  # the cycle turned to start at first, repeated over the block
-        out[:] = np.tile(np.roll(spec.cycle, -first), -(-out.size // len(spec.cycle)))[: out.size]
+    else:  # the cycle turned to start at first
+        start = first % len(spec.cycle)
+        out[:] = repeated[start : start + out.size]
 
 
 def _sign_bits(spec: ModelSpec, first: int, last: int) -> np.ndarray:
@@ -464,8 +478,9 @@ def _sign_bits(spec: ModelSpec, first: int, last: int) -> np.ndarray:
     step = -(-_CHUNK // 8) * 8
     block = np.empty(min(step, total))
     bits = np.empty(-(-total // 8), dtype=np.uint8)
+    repeated = _repeated_cycle(spec, block.size)
     for start in range(0, total, step):
         part = block[: total - start]
-        _fill_block(spec, part, first + start)
+        _fill_block(spec, part, first + start, repeated)
         bits[start // 8 : (start + part.size + 7) // 8] = np.packbits(part < 0, bitorder="little")
     return bits

@@ -1,5 +1,12 @@
 """Order metrics: coin entropy, block entropy of sliding subwords, and
-distinct-subword (patch) counts with a saturation diagnostic."""
+distinct-subword (patch) counts with a saturation diagnostic.
+
+Memory: both counts read a window's letters as digits (_letters); a +-1
+model's digits come from its streamed sign bits, one byte per site, so no
+float window exists.  Patch counts rank the subwords of every length in one
+index array, updated in place (_subword_ranks); block entropy counts the
+subwords' codes a chunk of positions at a time while the word space fits
+the window, and ranks them past it."""
 
 from __future__ import annotations
 
@@ -9,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import _distinct, json_form, write_table
-from .combs import (ModelSpec, _check_count, _check_probability, _check_window_length,
-                    _check_work, generate_window)
+from .combs import (_CHUNK, ModelSpec, _check_count, _check_probability, _check_window,
+                    _check_window_length, _check_work, _sign_bits, generate_window)
 
 
 def bernoulli_entropy(p: float) -> float:
@@ -29,25 +36,46 @@ def exact_entropy(spec: ModelSpec) -> float:
     return 0.0
 
 
-def _subword_ranks(weights: np.ndarray, max_length: int):
-    """Yield, for L = 1..max_length in turn, the pair (ranks, size): the dense
-    lexicographic rank of every length-L subword among the size distinct
-    ones of the window, over its alphabet in numeric order (_distinct).
+def _letters(spec: ModelSpec, first: int, last: int) -> tuple[np.ndarray, int]:
+    """(digits, a): the rank of every weight of [first, last] among the window's a
+    distinct weights, in numeric order.
 
+    A +-1 model's digits are its streamed sign bits (_sign_bits) turned over,
+    digit 1 - bit, so -1 ranks below +1: one byte per site and no float window.
+    A window of one letter gets a = 1 and all-zero digits.  Any other model
+    ranks its generated window (_distinct), one index per site."""
+    if not spec.is_binary:
+        alphabet, digits = _distinct(generate_window(spec, first, last).weights)
+        return digits, alphabet.size
+    _check_window(first, last)
+    size = last - first + 1
+    digits = np.unpackbits(_sign_bits(spec, first, last), count=size, bitorder="little")
+    if np.count_nonzero(digits) in (0, size):
+        return np.zeros_like(digits), 1
+    digits ^= 1
+    return digits, 2
+
+
+def _subword_ranks(digits: np.ndarray, a: int, max_length: int):
+    """Yield, for L = 1..max_length in turn, the pair (ranks, size): the dense
+    lexicographic rank of every length-L subword of the digits (letters
+    0..a-1) among the size distinct ones.
+
+    Memory: one index array, updated in place for every length, so each
+    yielded ranks array stays valid only until the next one is yielded.
     Length L+1 keys each subword by its length-L prefix rank and last digit,
     rank * a + digit, which orders the keys lexicographically; the keys are
     ranked by marking them in a table of size * a entries, or by sorting when
     that table would be larger than the keys themselves.  Ranks stay below
     the window length, so keys stay below its square and fit in int64."""
-    alphabet, digits = _distinct(weights)
-    a = alphabet.size
-    ranks, size = digits, a
+    ranks, size = digits.astype(np.intp), a
     yield ranks, size
     for L in range(1, max_length):
-        key = ranks[:-1] * a
+        key = ranks[:-1]
+        key *= a
         key += digits[L:]
         if size * a > key.size:
-            distinct, ranks = np.unique(key, return_inverse=True)
+            distinct, key[:] = np.unique(key, return_inverse=True)
             size = distinct.size
         else:
             seen = np.zeros(size * a, dtype=bool)
@@ -56,8 +84,9 @@ def _subword_ranks(weights: np.ndarray, max_length: int):
             rank_of_key -= 1
             # Every key is below size * a, so clipping never acts; it lets
             # numpy overwrite the keys with their ranks without a buffer.
-            ranks = np.take(rank_of_key, key, out=key, mode="clip")
+            np.take(rank_of_key, key, out=key, mode="clip")
             size = int(rank_of_key[-1]) + 1
+        ranks = key
         yield ranks, size
 
 
@@ -68,6 +97,12 @@ def block_entropy(spec: ModelSpec, N: int, k: int) -> float:
     Requires 2N+1 >= 100 * 2**k so the word space is sampled enough for the
     plug-in estimate to be meaningful.  A k at or past the bit length of
     2N+1 is refused before 2**k is formed, so a huge k costs nothing.
+
+    The subwords are counted in lexicographic order, as np.unique would list
+    them.  While a**k <= 2N+1, always so for a +-1 model, each subword's
+    Horner code over the a letters is counted directly, _CHUNK positions at
+    a time; past that, its rank (_subword_ranks).  Memory: the digits, one
+    chunk of codes and a**k counts, or one index array for the ranks.
     """
     _check_count("block length k", k)
     _check_count("window half-size N", N)
@@ -76,12 +111,23 @@ def block_entropy(spec: ModelSpec, N: int, k: int) -> float:
         raise ValueError(
             f"window of {size} sites is too small for k={k}; need 2N+1 >= 100 * 2**{k}"
         )
-    w = generate_window(spec, -N, N).weights
-    for ranks, distinct in _subword_ranks(w, k):  # one length alive at a time; keeps length k
-        pass
-    # Counts in lexicographic order of the subwords, as np.unique would list them.
-    counts = np.bincount(ranks, minlength=distinct)
-    probabilities = counts / ranks.size
+    digits, a = _letters(spec, -N, N)
+    positions = size - k + 1
+    if a**k > size:
+        for ranks, distinct in _subword_ranks(digits, a, k):  # keeps length k
+            pass
+        counts = np.bincount(ranks, minlength=distinct)
+    else:
+        counts = np.zeros(a**k, dtype=np.intp)
+        for start in range(0, positions, _CHUNK):
+            stop = min(start + _CHUNK, positions)
+            code = digits[start:stop].astype(np.intp)
+            for j in range(1, k):
+                code *= a
+                code += digits[start + j : stop + j]
+            counts += np.bincount(code, minlength=counts.size)
+        counts = counts[counts > 0]
+    probabilities = counts / positions
     return float(-(probabilities * np.log(probabilities)).sum() / k) + 0.0  # -0.0 -> 0.0
 
 
@@ -139,10 +185,10 @@ def patch_complexity(spec: ModelSpec, N: int, L_max: int) -> PatchComplexity:
     _check_patch_lengths(spec, N, L_max)
     # Ranks on the doubled window [-2N, 2N]; the subwords of [-N, N] are the
     # ones starting at positions N..3N+1-L.
-    w_doubled = generate_window(spec, -2 * N, 2 * N).weights
+    digits, a = _letters(spec, -2 * N, 2 * N)
     entries = []
     saturated = []
-    for L, (ranks, size) in enumerate(_subword_ranks(w_doubled, L_max), start=1):
+    for L, (ranks, size) in enumerate(_subword_ranks(digits, a, L_max), start=1):
         seen = np.zeros(size, dtype=bool)
         seen[ranks[N : 3 * N + 2 - L]] = True
         count = int(np.count_nonzero(seen))

@@ -641,6 +641,35 @@ class TestParsing:
         assert main(["--version"]) == 0
         assert "diffcomb" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv,message", [
+        (["bragg", "--model", "constant", "--k0", "0", "--N-list", "4,x"],
+         "--N-list takes comma-separated integers '64,256', got '4,x'"),
+        (["bragg", "--model", COIN_JSON, "--k0", "0", "--N-list", "64", "--seeds", "1:x"],
+         "--seeds takes comma-separated integers '1,2,3' or an inclusive range '1:50', got '1:x'"),
+        (["homometry", "--mode", "spectral", "--a", COIN_JSON, "--b", "rudin_shapiro",
+          "--seeds", "a,b"], "--seeds takes comma-separated integers '1,2,3' or an inclusive"
+                             " range '1:50', got 'a,b'"),
+    ], ids=["bragg-N-list", "bragg-seed-range", "homometry-seed-list"])
+    def test_a_list_of_non_integers_names_the_flag(self, tmp_path, capsys, argv, message):
+        assert main([*argv, "--out", str(tmp_path / "out.json")]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "invalid literal" not in err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv,message", [
+        (["autocorr", "--model", "rudin_shapiro", "--analytic", "--N", "5", "--M", "1"],
+         "--N applies only without --analytic"),
+        (["product", "--a", "rudin_shapiro", "--b", "alternating", "--N", "5", "--M", "1"],
+         "--N applies only with --empirical"),
+        (["homometry", "--a", "rudin_shapiro", "--b", "rudin_shapiro", "--analytic-a",
+          "--analytic-b", "--N", "5", "--M", "1", "--tol", "nan"],
+         "--N applies only where a side reads a window, not with both --analytic-a and"),
+    ], ids=["autocorr-analytic", "product-analytic", "homometry-both-analytic"])
+    def test_a_window_size_where_no_window_is_read_exits_2(self, tmp_path, capsys, argv, message):
+        assert main([*argv, "--out", str(tmp_path / "out.csv")]) == 2
+        assert message in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
 
 # ── Golden runs ────────────────────────────────────────────────────────────
 # Every subcommand on small inputs, each run alone in an empty directory with

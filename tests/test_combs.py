@@ -515,6 +515,21 @@ class TestBlocks:
             assert dc.generate_window(spec, first, last).weights.tolist() == expected
 
     @pytest.mark.parametrize("spec", [
+        dc.ModelSpec.periodic(tuple(np.arange(23.0) - 11.0)),
+        dc.ModelSpec.bernoullised(
+            dc.ModelSpec.periodic(np.random.default_rng(6).choice([-1.0, 1.0], 23)), 0.4, 5),
+    ], ids=["periodic", "bernoullised"])
+    def test_a_cycle_longer_than_a_block(self, monkeypatch, spec):
+        """Blocks of 7 sites are slices of a 23-entry cycle at every phase, in
+        the window and in its sign bits."""
+        monkeypatch.setattr(combs, "_CHUNK", 7)
+        for first, last in [*self.windows(7), (-100, 100)]:
+            expected = [oracle_weight(spec, n) for n in range(first, last + 1)]
+            assert dc.generate_window(spec, first, last).weights.tolist() == expected
+            bits = np.packbits(np.array(expected) < 0, bitorder="little")
+            assert np.array_equal(combs._sign_bits(spec, first, last), bits)
+
+    @pytest.mark.parametrize("spec", [
         RS, dc.ModelSpec.periodic((1.0, 2.0, -1.0)), dc.ModelSpec.bernoulli(0.3, 3),
     ], ids=lambda spec: spec.model)
     def test_peak_memory_of_a_window(self, spec):

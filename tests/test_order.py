@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 import diffcomb as dc
 from diffcomb import order
-from diffcomb.order import _subword_ranks
+from diffcomb._util import _distinct
+from diffcomb.order import _letters, _subword_ranks
 from test_combs import ALT, RS
 
 # calibrated: distinct Rudin-Shapiro subword counts grow by exactly 8 per
@@ -217,7 +218,8 @@ class TestPatchComplexity:
         N = scale * L_max
         # the ranks are the dense ranks of the Horner codes, in the same order
         w = dc.generate_window(spec, -2 * N, 2 * N).weights
-        for (ranks, size), codes in zip(_subword_ranks(w, L_max), horner_codes(w, L_max)):
+        ranked = _subword_ranks(*_letters(spec, -2 * N, 2 * N), L_max)
+        for (ranks, size), codes in zip(ranked, horner_codes(w, L_max)):
             distinct, inverse = np.unique(codes, return_inverse=True)
             assert size == distinct.size and np.array_equal(ranks, inverse)
         pc = dc.patch_complexity(spec, N, L_max)
@@ -278,15 +280,62 @@ class TestPatchComplexity:
     lambda: dc.patch_complexity(RS, 131072, 32),
 ], ids=["block_entropy", "patch_complexity"])
 def test_peak_memory_of_a_count(count):
-    """Both counts read a window of 2**19 + 1 sites and find its letters without
-    sorting it: the peaks read 4.2 and 4.0 window sizes (6.3 and 6.1 with a sort)."""
+    """Both counts read the streamed sign bits of 2**19 + 1 sites, one byte per
+    site, and no float window: the peaks read 0.64 and 1.14 window sizes of
+    8 bytes per site (4.0 and 4.0 from the float window and fresh index arrays)."""
     tracemalloc.start()
     try:
         count()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 5 * 8 * (2**19 + 1)
+    assert peak < 1.5 * 8 * (2**19 + 1)
+
+
+class TestLetters:
+    @pytest.mark.parametrize("spec", [
+        dc.ModelSpec.constant(1.0), dc.ModelSpec.constant(-1.0),
+        dc.ModelSpec.bernoulli(0.0, 3), dc.ModelSpec.bernoulli(1.0, 3), dc.ModelSpec.bernoulli(0.3, 3),
+        ALT, RS, dc.ModelSpec.periodic((1.0, -1.0, -1.0)), dc.ModelSpec.bernoullised(RS, 0.25, 7),
+    ], ids=["plus-one", "minus-one", "coin-p0", "coin-p1", "coin", "alternating", "rs",
+            "periodic", "rsb"])
+    def test_sign_bit_digits_match_distinct_of_the_window(self, monkeypatch, spec):
+        """A +-1 model's digits are _distinct's ranks of its window, read from the
+        sign bits without generating it; one letter gives a = 1 and zeros."""
+        windows = [(5, 5), (-3, 4), (-70000, 3), (2**40, 2**40 + 70000)]
+        expected = [_distinct(dc.generate_window(spec, *window).weights) for window in windows]
+
+        def refuse(*args):
+            raise AssertionError("a float window was generated")
+
+        monkeypatch.setattr(order, "generate_window", refuse)
+        for (first, last), (alphabet, inverse) in zip(windows, expected):
+            digits, a = _letters(spec, first, last)
+            assert a == alphabet.size and np.array_equal(digits, inverse), (first, last)
+        one_letter = spec.model == "constant" or spec.p in (0.0, 1.0)
+        assert (_letters(spec, -1000, 1000)[1] == 1) == one_letter
+
+    @pytest.mark.parametrize("spec,N,k,ranked", [
+        (dc.ModelSpec.constant(0.5), 1000, 2, False),
+        (RS, 2000, 4, False),
+        (dc.ModelSpec.bernoullised(RS, 0.25, 3), 2**14, 7, False),
+        (dc.ModelSpec.periodic((0.5, -2.0, 3.0, 0.5, 3.0, -2.0, -2.0)), 5000, 5, False),
+        (dc.ModelSpec.periodic(tuple(np.arange(100) - 49.5)), 300, 2, True),
+        (dc.ModelSpec.periodic(tuple(np.random.default_rng(3).integers(0, 5, 2000) - 2.0)),
+         12800, 8, True),
+    ], ids=["one-letter", "rs", "rsb", "three-letters", "100-letters", "five-letters"])
+    def test_block_entropy_matches_horner_oracle_on_both_branches(self, monkeypatch, spec, N, k,
+                                                                  ranked):
+        """Codes while a**k <= 2N + 1, ranks past it: the same float, bit for bit."""
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return _subword_ranks(*args)
+
+        monkeypatch.setattr(order, "_subword_ranks", spy)
+        assert dc.block_entropy(spec, N, k) == horner_block_entropy(spec, N, k)
+        assert bool(calls) == ranked
 
 
 class TestEntropyReport:
@@ -337,5 +386,6 @@ class TestEntropyReport:
 
         monkeypatch.setattr(order, "_subword_ranks", refuse)
         monkeypatch.setattr(order, "generate_window", refuse)
+        monkeypatch.setattr(order, "_sign_bits", refuse)
         with pytest.raises(ValueError, match=message):
             dc.entropy_report(RS, 10**6, k, L_max=L_max)
