@@ -202,7 +202,7 @@ def _distinct(values):
     dtype, without its sort when values holds at most _FEW_DISTINCT values: each equality
     pass drops the rows of one value, the next value is the first row left, and a row's
     index counts the sorted values it is at or above.  The writer passes int64 bit views,
-    so -0.0 and 0.0 stay apart; the order metrics' float windows rank in numeric order."""
+    so -0.0 and 0.0 stay apart."""
     found, other = [values[0]], values != values[0]
     # other[0] is False, so argmax is 0 only when no row is left.
     while (at := other.argmax()) and len(found) < _FEW_DISTINCT:
@@ -311,6 +311,14 @@ def write_table(path, columns: list[str], values, output_format: str = "csv") ->
                 text[-1, text.shape[1] - len(row_sep):] = 0
             handle.write(text[text != 0])
         handle.write(tail.encode("ascii"))
+
+
+def float_array(values, shape: tuple, message: str) -> np.ndarray:
+    """values as a float64 array of the given shape; any other shape raises ValueError(message)."""
+    array = np.asarray(values, dtype=np.float64)
+    if array.shape != shape:
+        raise ValueError(message)
+    return array
 
 
 def write_json(path, obj) -> None:

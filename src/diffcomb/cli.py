@@ -12,7 +12,8 @@ configuration produce byte-identical data files.
 A model argument is a bare model name, an inline JSON object, or a path to a
 JSON file; w and p must be JSON numbers and pattern a list of numbers, and a
 field the model does not take is refused.
-Lattice indices must satisfy |n| < 2**62.
+Lattice indices must satisfy |n| < 2**62.  A flag given to a run that does
+not read it exits 2 (``--<flag> applies ...``; _flags).
 
 Exit codes: 0 success, 2 validation or resource error, 1 internal error.
 The comparison commands (verify-rs, homometry) exit 1 when their check fails.
@@ -106,22 +107,15 @@ def _seeds_read(specs, ensemble=None) -> list[int] | None:
     return [spec.seed for spec in specs if spec.seed is not None] or None
 
 
-def _mode_flags(args, **flags) -> None:
-    """flags maps a flag's dest to (the mode that reads it, its default): refuse
-    the flag in any other mode, and give it its default when it is not given."""
-    for dest, (mode, default) in flags.items():
+def _flags(args, reads: bool, where: str, **defaults) -> None:
+    """defaults maps a flag's dest to the value a run takes when the flag is not
+    given; a flag given where the run does not read it (reads false) is refused
+    as --<flag> applies <where>."""
+    for dest, default in defaults.items():
         if getattr(args, dest) is None:
             setattr(args, dest, default)
-        elif args.mode != mode:
-            raise ValueError(f"--{dest} applies to --mode {mode} only")
-
-
-def _window_half_size(args, reads_window: bool, default: int, when: str) -> None:
-    """Refuse --N where the run reads no window, and give it its default when it is not given."""
-    if args.N is None:
-        args.N = default
-    elif not reads_window:
-        raise ValueError(f"--N applies only {when}")
+        elif not reads:
+            raise ValueError(f"--{dest.replace('_', '-')} applies {where}")
 
 
 def _autocorrelation(spec: ModelSpec, analytic: bool, N: int, M: int):
@@ -148,7 +142,7 @@ def _generate(args, spec: ModelSpec) -> _Outcome:
 
 
 def _autocorr(args, spec: ModelSpec) -> _Outcome:
-    _window_half_size(args, not args.analytic, 4096, "without --analytic")
+    _flags(args, not args.analytic, "only without --analytic", N=4096)
     result = _autocorrelation(spec, args.analytic, args.N, args.M)
     tail = float(np.max(np.abs(result.eta[result.max_lag + 1 :]))) if args.M > 0 else 0.0
     summary = f"eta(0) = {fmt(result.value(0))}, max |eta(m != 0)| = {fmt(tail)}"
@@ -184,16 +178,15 @@ def _spectrum(args, spec: ModelSpec) -> _Outcome:
 
 def _homometry(args, spec_a: ModelSpec, spec_b: ModelSpec) -> _Outcome:
     # Before either side is computed: the flags, then the tolerance.
-    if args.mode == "spectral" and (args.analytic_a or args.analytic_b):
-        raise ValueError("--analytic-a and --analytic-b apply to --mode autocorr only")
-    _mode_flags(args, seeds=("spectral", None), M=("autocorr", 64), G=("spectral", 4096),
-                bins=("spectral", 16))
-    windowed = args.mode == "spectral" or not (args.analytic_a and args.analytic_b)
-    _window_half_size(args, windowed, 16384, "where a side reads a window,"
-                      " not with both --analytic-a and --analytic-b")
+    autocorr = args.mode == "autocorr"
+    _flags(args, autocorr, "to --mode autocorr only", analytic_a=False, analytic_b=False, M=64)
+    _flags(args, not autocorr, "to --mode spectral only", seeds=None, G=4096, bins=16)
+    _flags(args, not (args.analytic_a and args.analytic_b),
+           "only where a side reads a window, not with both --analytic-a and --analytic-b",
+           N=16384)
     _check_tolerance(args.tol)
     ensemble = _parse_seeds(args.seeds) or DEFAULT_SEEDS
-    if args.mode == "autocorr":
+    if autocorr:
         sides = ((spec_a, args.analytic_a), (spec_b, args.analytic_b))
         factors = [_autocorrelation(spec, analytic, args.N, args.M) for spec, analytic in sides]
         comparison = compare_autocorrelations(*factors, args.tol)
@@ -227,8 +220,9 @@ def _complexity(args, spec: ModelSpec) -> _Outcome:
 
 def _product(args, spec_a: ModelSpec, spec_b: ModelSpec) -> _Outcome:
     # --N is refused outside autocorr mode first, then without --empirical.
-    _mode_flags(args, M=("autocorr", 8), N=("autocorr", None), empirical=("autocorr", False))
-    _window_half_size(args, args.empirical, 256, "with --empirical")
+    _flags(args, args.mode == "autocorr", "to --mode autocorr only",
+           M=8, N=None, empirical=False, format="csv")
+    _flags(args, args.empirical, "only with --empirical", N=256)
     if args.mode == "diffraction":
         measure = product_diffraction(analytic_diffraction(spec_a), analytic_diffraction(spec_b))
         return _Outcome({"": measure.to_json()}, f"total mass {fmt(measure.total())}")
@@ -344,9 +338,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--G", type=int, default=None, help="grid size (spectral mode)")
     p.add_argument("--bins", type=int, default=None, help="bin count (spectral mode)")
     p.add_argument("--tol", type=float, default=0.05)
-    p.add_argument("--analytic-a", action="store_true",
+    p.add_argument("--analytic-a", action="store_true", default=None,
                    help="closed form for side a (autocorr mode)")
-    p.add_argument("--analytic-b", action="store_true",
+    p.add_argument("--analytic-b", action="store_true", default=None,
                    help="closed form for side b (autocorr mode)")
     p.add_argument("--seeds", default=None, help="ensemble seeds (spectral mode)")
 
@@ -371,6 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, default=None, help="window half-size (with --empirical)")
     p.add_argument("--empirical", action="store_true", default=None,
                    help="estimate factors from windows")
+    p.set_defaults(format=None)  # csv, read in autocorr mode only
 
     p = command("verify-rs", _verify_rs, "exact check of the Rudin-Shapiro correlation identity",
                 model=False)

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._util import json_form, write_table
+from ._util import float_array, json_form, write_table
 from .combs import (
     ModelSpec,
     _check_count,
@@ -38,10 +38,8 @@ class Autocorrelation:
     eta: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.eta, dtype=np.float64)
-        if arr.shape != (2 * self.max_lag + 1,):
-            raise ValueError("eta must have length 2 * max_lag + 1")
-        self.eta = arr
+        self.eta = float_array(self.eta, (2 * self.max_lag + 1,),
+                               "eta must have length 2 * max_lag + 1")
 
     def lags(self) -> np.ndarray:
         return np.arange(-self.max_lag, self.max_lag + 1)

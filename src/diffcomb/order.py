@@ -1,9 +1,10 @@
 """Order metrics: coin entropy, block entropy of sliding subwords, and
 distinct-subword (patch) counts with a saturation diagnostic.
 
-Memory: both counts read a window's letters as digits (_letters); a +-1
-model's digits come from its streamed sign bits, one byte per site, so no
-float window exists.  Patch counts rank the subwords of every length in one
+Memory: both counts read a window's letters as digits (_letters), one byte
+per site below 256 letters, and no float window exists: a cycle's digits
+are the ranks of its entries tiled over the window, a +-1 model's its
+streamed sign bits.  Patch counts rank the subwords of every length in one
 index array, updated in place (_subword_ranks); block entropy counts the
 subwords' codes a chunk of positions at a time while the word space fits
 the window, and ranks them past it."""
@@ -15,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import _distinct, json_form, write_table
+from ._util import json_form, write_table
 from .combs import (_CHUNK, ModelSpec, _check_count, _check_probability, _check_window,
-                    _check_window_length, _check_work, _sign_bits, generate_window)
+                    _check_window_length, _check_work, _sign_bits)
 
 
 def bernoulli_entropy(p: float) -> float:
@@ -38,17 +39,20 @@ def exact_entropy(spec: ModelSpec) -> float:
 
 def _letters(spec: ModelSpec, first: int, last: int) -> tuple[np.ndarray, int]:
     """(digits, a): the rank of every weight of [first, last] among the window's a
-    distinct weights, in numeric order.
+    distinct weights, in numeric order, with no float window.
 
-    A +-1 model's digits are its streamed sign bits (_sign_bits) turned over,
-    digit 1 - bit, so -1 ranks below +1: one byte per site and no float window.
-    A window of one letter gets a = 1 and all-zero digits.  Any other model
-    ranks its generated window (_distinct), one index per site."""
-    if not spec.is_binary:
-        alphabet, digits = _distinct(generate_window(spec, first, last).weights)
-        return digits, alphabet.size
+    A cycle's letters are the cycle entries the window reaches, its digits their
+    ranks tiled over the window (one byte per site below 256 letters).  Any other
+    model is +-1: its digits are its streamed sign bits (_sign_bits) turned over,
+    digit 1 - bit, so -1 ranks below +1.  A window of one letter gets a = 1 and
+    all-zero digits."""
     _check_window(first, last)
     size = last - first + 1
+    if spec.cycle is not None:
+        reached = np.roll(spec.cycle, -(first % len(spec.cycle)))[:size]
+        alphabet, ranks = np.unique(reached, return_inverse=True)
+        ranks = ranks.astype(np.min_scalar_type(alphabet.size - 1))
+        return np.tile(ranks, -(-size // ranks.size))[:size], alphabet.size
     digits = np.unpackbits(_sign_bits(spec, first, last), count=size, bitorder="little")
     if np.count_nonzero(digits) in (0, size):
         return np.zeros_like(digits), 1

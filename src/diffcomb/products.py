@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import json_form, write_table
+from ._util import float_array, json_form, write_table
 from .combs import _check_window_length
 from .correlation import Autocorrelation
 from .spectra import SpectralMeasure
@@ -26,10 +26,8 @@ class ProductAutocorrelation:
 
     def __post_init__(self):
         size = 2 * self.max_lag + 1
-        arr = np.asarray(self.eta, dtype=np.float64)
-        if arr.shape != (size, size):
-            raise ValueError("eta must be square with side 2 * max_lag + 1")
-        self.eta = arr
+        self.eta = float_array(self.eta, (size, size),
+                               "eta must be square with side 2 * max_lag + 1")
 
     def value(self, m1: int, m2: int) -> float:
         M = self.max_lag

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._util import json_form, write_table
+from ._util import float_array, json_form, write_table
 from .combs import (
     ModelSpec,
     WeightWindow,
@@ -34,10 +34,8 @@ class Periodogram:
     intensities: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.intensities, dtype=np.float64)
-        if arr.shape != (self.grid_size,):
-            raise ValueError("intensities must have length grid_size")
-        self.intensities = arr
+        self.intensities = float_array(self.intensities, (self.grid_size,),
+                                       "intensities must have length grid_size")
 
     def wavenumbers(self) -> np.ndarray:
         return np.arange(self.grid_size) / self.grid_size
@@ -161,10 +159,7 @@ class BinnedMeasure:
     masses: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.masses, dtype=np.float64)
-        if arr.shape != (self.bins,):
-            raise ValueError("masses must have length bins")
-        self.masses = arr
+        self.masses = float_array(self.masses, (self.bins,), "masses must have length bins")
 
     def edges(self) -> np.ndarray:
         return np.arange(self.bins + 1) / self.bins

@@ -374,8 +374,9 @@ class TestHomometry:
 
     @pytest.mark.parametrize("argv,message", [
         (["--seeds", "1:3", "--G", "7"], "--seeds applies to --mode spectral only"),
-        (["--mode", "spectral", "--analytic-a"], "--analytic-a and --analytic-b apply to --mode"),
-        (["--mode", "spectral", "--analytic-b", "--seeds", "1:3"], "--analytic-a and --analytic-b"),
+        (["--mode", "spectral", "--analytic-a"], "--analytic-a applies to --mode autocorr only"),
+        (["--mode", "spectral", "--analytic-b", "--seeds", "1:3"],
+         "--analytic-b applies to --mode autocorr only"),
     ], ids=["autocorr-seeds", "spectral-analytic-a", "spectral-analytic-b"])
     def test_a_flag_the_mode_does_not_read_exits_2(self, tmp_path, capsys, argv, message):
         argv = ["homometry", "--a", RS_JSON, "--b", "rudin_shapiro", "--N", "64", "--M", "4",
@@ -495,8 +496,9 @@ class TestProduct:
         assert data["point_masses"] == [[[0.0, 0.5], 1.0]]
         assert data["plane_level"] == 0.0
 
-    @pytest.mark.parametrize("flag", [["--M", "3"], ["--N", "5"], ["--empirical"]],
-                             ids=["M", "N", "empirical"])
+    @pytest.mark.parametrize("flag", [["--M", "3"], ["--N", "5"], ["--empirical"],
+                                      ["--format", "csv"]],
+                             ids=["M", "N", "empirical", "format"])
     def test_diffraction_mode_refuses_autocorr_flags(self, tmp_path, capsys, flag):
         argv = ["product", "--a", "rudin_shapiro", "--b", "alternating", "--mode", "diffraction",
                 *flag, "--out", str(tmp_path / "prod.json")]

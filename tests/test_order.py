@@ -278,11 +278,17 @@ class TestPatchComplexity:
 @pytest.mark.parametrize("count", [
     lambda: dc.block_entropy(dc.ModelSpec.bernoullised(RS, 0.25, 3), 262144, 10),
     lambda: dc.patch_complexity(RS, 131072, 32),
-], ids=["block_entropy", "patch_complexity"])
+    lambda: dc.block_entropy(dc.ModelSpec.periodic((0.5, -2.0, 3.0, 1.0, -1.0)), 262144, 6),
+    lambda: dc.patch_complexity(dc.ModelSpec.periodic((0.5, -2.0, 3.0, 1.0, -1.0, 4.0, 2.0)),
+                                131072, 32),
+], ids=["block_entropy", "patch_complexity", "block_entropy-5-letters",
+        "patch_complexity-7-letters"])
 def test_peak_memory_of_a_count(count):
-    """Both counts read the streamed sign bits of 2**19 + 1 sites, one byte per
-    site, and no float window: the peaks read 0.64 and 1.14 window sizes of
-    8 bytes per site (4.0 and 4.0 from the float window and fresh index arrays)."""
+    """Both counts read the letters of 2**19 + 1 sites as one byte per site, and
+    no float window: the streamed sign bits of a +-1 model, the tiled ranks of a
+    cycle's entries.  The peaks read 0.82, 1.14, 0.41 and 1.14 window sizes of
+    8 bytes per site (4.0, 4.0, 6.25 and 6.25 with a float window, its sort and
+    fresh index arrays)."""
     tracemalloc.start()
     try:
         count()
@@ -297,18 +303,21 @@ class TestLetters:
         dc.ModelSpec.constant(1.0), dc.ModelSpec.constant(-1.0),
         dc.ModelSpec.bernoulli(0.0, 3), dc.ModelSpec.bernoulli(1.0, 3), dc.ModelSpec.bernoulli(0.3, 3),
         ALT, RS, dc.ModelSpec.periodic((1.0, -1.0, -1.0)), dc.ModelSpec.bernoullised(RS, 0.25, 7),
+        dc.ModelSpec.constant(0.5), dc.ModelSpec.periodic((0.0, 3.0, -0.0, -2.0, 3.0, 0.5)),
+        dc.ModelSpec.periodic(tuple(np.random.default_rng(2).permutation(300) - 149.5)),
     ], ids=["plus-one", "minus-one", "coin-p0", "coin-p1", "coin", "alternating", "rs",
-            "periodic", "rsb"])
+            "periodic", "rsb", "half", "signed-zeros", "300-letters"])
     def test_sign_bit_digits_match_distinct_of_the_window(self, monkeypatch, spec):
-        """A +-1 model's digits are _distinct's ranks of its window, read from the
-        sign bits without generating it; one letter gives a = 1 and zeros."""
+        """A model's digits are _distinct's ranks of its window, read without
+        generating it: a cycle's from the entries the window reaches, any other
+        +-1 model's from the sign bits; one letter gives a = 1 and zeros."""
         windows = [(5, 5), (-3, 4), (-70000, 3), (2**40, 2**40 + 70000)]
         expected = [_distinct(dc.generate_window(spec, *window).weights) for window in windows]
 
         def refuse(*args):
             raise AssertionError("a float window was generated")
 
-        monkeypatch.setattr(order, "generate_window", refuse)
+        monkeypatch.setattr(dc.combs, "WeightWindow", refuse)
         for (first, last), (alphabet, inverse) in zip(windows, expected):
             digits, a = _letters(spec, first, last)
             assert a == alphabet.size and np.array_equal(digits, inverse), (first, last)
@@ -385,7 +394,6 @@ class TestEntropyReport:
             raise AssertionError("counted before the arguments were checked")
 
         monkeypatch.setattr(order, "_subword_ranks", refuse)
-        monkeypatch.setattr(order, "generate_window", refuse)
-        monkeypatch.setattr(order, "_sign_bits", refuse)
+        monkeypatch.setattr(order, "_letters", refuse)
         with pytest.raises(ValueError, match=message):
             dc.entropy_report(RS, 10**6, k, L_max=L_max)

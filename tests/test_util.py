@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import tempfile
 from dataclasses import dataclass
 from decimal import Decimal
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import diffcomb as dc
 from diffcomb import _util
 from diffcomb._util import fmt, json_form, round12, write_json, write_table
 
@@ -345,3 +347,17 @@ def test_json_form_rounds_every_nested_float_and_keeps_the_rest():
 def test_json_form_of_a_report_nests_dataclasses():
     inner = _Report(1.0, 1, False, "", None, (), [], {})
     assert json_form({"inner": inner, "x": 2.5}) == {"inner": json_form(inner), "x": 2.5}
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: dc.Autocorrelation(2, [1.0] * 4), "eta must have length 2 * max_lag + 1"),
+    (lambda: dc.Periodogram(4, np.ones((2, 2))), "intensities must have length grid_size"),
+    (lambda: dc.BinnedMeasure(3, []), "masses must have length bins"),
+    (lambda: dc.ProductAutocorrelation(1, np.ones(9)),
+     "eta must be square with side 2 * max_lag + 1"),
+], ids=["autocorrelation", "periodogram", "binned", "product"])
+def test_result_tables_refuse_a_wrong_shape(make, message):
+    """Each result table takes its values through float_array, with its own message."""
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make()
+    assert _util.float_array([1, 2], (2,), "unused").dtype == np.float64
