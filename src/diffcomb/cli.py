@@ -159,6 +159,7 @@ def _diffract(args, spec: ModelSpec) -> _Outcome:
 
 
 def _bragg(args, spec: ModelSpec) -> _Outcome:
+    _flags(args, spec.is_stochastic, "only where the model is stochastic", seeds=None)
     seeds = _parse_seeds(args.seeds)
     parts = [part for part in args.N_list.split(",") if part.strip()]
     sizes = _flag_integers("--N-list", args.N_list, parts, "comma-separated integers '64,256'")
@@ -181,6 +182,8 @@ def _homometry(args, spec_a: ModelSpec, spec_b: ModelSpec) -> _Outcome:
     autocorr = args.mode == "autocorr"
     _flags(args, autocorr, "to --mode autocorr only", analytic_a=False, analytic_b=False, M=64)
     _flags(args, not autocorr, "to --mode spectral only", seeds=None, G=4096, bins=16)
+    _flags(args, spec_a.is_stochastic or spec_b.is_stochastic,
+           "only where a model is stochastic", seeds=None)
     _flags(args, not (args.analytic_a and args.analytic_b),
            "only where a side reads a window, not with both --analytic-a and --analytic-b",
            N=16384)

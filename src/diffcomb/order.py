@@ -4,10 +4,12 @@ distinct-subword (patch) counts with a saturation diagnostic.
 Memory: both counts read a window's letters as digits (_letters), one byte
 per site below 256 letters, and no float window exists: a cycle's digits
 are the ranks of its entries tiled over the window, a +-1 model's its
-streamed sign bits.  Patch counts rank the subwords of every length in one
-index array, updated in place (_subword_ranks); block entropy counts the
-subwords' codes a chunk of positions at a time while the word space fits
-the window, and ranks them past it."""
+streamed sign bits.  Patch counts sort one uint64 code per position, its
+next L_max letters, and read every p(L) off the common prefixes of sorted
+neighbours (_prefix_counts); past 64 bits of code they rank the subwords of
+every length in one index array, updated in place (_subword_ranks).  Block
+entropy counts the subwords' codes a chunk of positions at a time while the
+word space fits the window, and ranks them past it."""
 
 from __future__ import annotations
 
@@ -94,6 +96,38 @@ def _subword_ranks(digits: np.ndarray, a: int, max_length: int):
         yield ranks, size
 
 
+def _prefix_counts(digits: np.ndarray, a: int, L_max: int) -> np.ndarray:
+    """p(L), L = 1..L_max, of at least L_max - 1 digits (letters 0..a-1), while
+    L_max slots of b = a.bit_length() bits fit 64 (see patch_complexity).
+
+    A position's code holds its next L_max letters as digit + 1, b bits a slot;
+    codes of k letters become codes of up to 2k in place, a chunk at a time.
+    Sorted, two neighbours share as many leading letters as their XOR has
+    leading zero slots, so the distinct length-L prefixes number one plus the
+    neighbours whose XOR is nonzero in the first L slots."""
+    b, size = a.bit_length(), digits.size
+    codes = digits + np.uint64(1)
+    k = 1
+    while k < L_max:
+        step = min(k, L_max - k)
+        for start in range(0, size, 2**14):
+            stop = min(start + 2**14, size)
+            after = codes[start + k : stop + k] >> ((k - step) * b)  # read before shifting
+            codes[start:stop] <<= step * b
+            codes[start : start + after.size] |= after
+        k += step
+    codes.sort()
+    bit_lengths = np.zeros(65, dtype=np.intp)
+    for start in range(1, size, 2**14):
+        stop = min(start + 2**14, size)
+        change = codes[start:stop] ^ codes[start - 1 : stop - 1]
+        # no two adjacent ones, the top one kept: float64 rounding cannot carry past it
+        change &= ~(change >> 1)
+        bit_lengths += np.bincount(np.frexp(change)[1], minlength=65)
+    at_least = np.cumsum(bit_lengths[::-1])[::-1]  # XORs of t bits or more
+    return 1 + at_least[(L_max - np.arange(1, L_max + 1)) * b + 1] - np.arange(L_max)
+
+
 def block_entropy(spec: ModelSpec, N: int, k: int) -> float:
     """Shannon entropy per symbol of the empirical law of length-k subwords
     of the window [-N, N].
@@ -169,8 +203,9 @@ class PatchComplexity:
 
 
 def _check_patch_lengths(spec: ModelSpec, N: int, L_max: int) -> None:
-    """Require a deterministic model and 100 sites of [-N, N] per length; L_max
-    passes over the 4N + 1 sites of the doubled window are budgeted."""
+    """Require a deterministic model and 100 sites of [-N, N] per length; the
+    L_max passes of _subword_ranks over the 4N + 1 sites of the doubled window
+    are budgeted."""
     if spec.is_stochastic:
         raise ValueError("patch counting needs a deterministic model")
     _check_count("L_max", L_max)
@@ -185,20 +220,31 @@ def _check_patch_lengths(spec: ModelSpec, N: int, L_max: int) -> None:
 
 
 def patch_complexity(spec: ModelSpec, N: int, L_max: int) -> PatchComplexity:
-    """Count distinct subwords of a deterministic model up to length L_max."""
+    """Count distinct subwords of a deterministic model up to length L_max.
+
+    The letters of the doubled window [-2N, 2N] are read once; [-N, N] is its
+    positions N..3N.  While L_max letters of a.bit_length() bits fit 64, each
+    window's counts come from one sort of its position codes, the suffix-array
+    and LCP route of Manber & Myers, SIAM J. Comput. 22 (1993), and Kasai et
+    al., CPM 2001 (_prefix_counts).  A code is padded with 0, no letter, past
+    the window's end, so each of the last L_max - 1 positions is one more
+    distinct prefix of every longer length: arange(L_max) is subtracted.  Past
+    64 bits the counts come from the ranks of every length (_subword_ranks)."""
     _check_patch_lengths(spec, N, L_max)
-    # Ranks on the doubled window [-2N, 2N]; the subwords of [-N, N] are the
-    # ones starting at positions N..3N+1-L.
     digits, a = _letters(spec, -2 * N, 2 * N)
-    entries = []
-    saturated = []
-    for L, (ranks, size) in enumerate(_subword_ranks(digits, a, L_max), start=1):
-        seen = np.zeros(size, dtype=bool)
-        seen[ranks[N : 3 * N + 2 - L]] = True
-        count = int(np.count_nonzero(seen))
-        entries.append((L, count))
-        saturated.append(count == size)
-    return PatchComplexity(N, entries, saturated)
+    if L_max * a.bit_length() <= 64:
+        counts = _prefix_counts(digits[N : 3 * N + 1], a, L_max).tolist()
+        sizes = _prefix_counts(digits, a, L_max).tolist()
+    else:
+        counts, sizes = [], []
+        for L, (ranks, size) in enumerate(_subword_ranks(digits, a, L_max), start=1):
+            # the subwords of [-N, N] start at positions N..3N+1-L
+            seen = np.zeros(size, dtype=bool)
+            seen[ranks[N : 3 * N + 2 - L]] = True
+            counts.append(int(np.count_nonzero(seen)))
+            sizes.append(size)
+    saturated = [count == size for count, size in zip(counts, sizes)]
+    return PatchComplexity(N, list(enumerate(counts, start=1)), saturated)
 
 
 @dataclass

@@ -6,12 +6,15 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import diffcomb
 from diffcomb.cli import main
 
 RS_JSON = '{"model": "rudin_shapiro"}'
@@ -671,6 +674,35 @@ class TestParsing:
         assert main([*argv, "--out", str(tmp_path / "out.csv")]) == 2
         assert message in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv,message", [
+        (["bragg", "--model", "alternating", "--k0", "0.5", "--N-list", "16,64"],
+         "--seeds applies only where the model is stochastic"),
+        (["homometry", "--mode", "spectral", "--a", "rudin_shapiro", "--b", "alternating",
+          "--N", "64", "--G", "16", "--bins", "4", "--tol", "nan"],
+         "--seeds applies only where a model is stochastic"),
+    ], ids=["bragg", "homometry-spectral"])
+    def test_seeds_where_no_model_is_stochastic_exit_2(self, tmp_path, capsys, argv, message):
+        # refused before the seeds are parsed (and before homometry's tolerance)
+        assert main([*argv, "--seeds", "1:x", "--out", str(tmp_path / "out.json")]) == 2
+        assert message in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+
+
+def test_importing_the_cli_loads_only_numpy_the_standard_library_and_diffcomb():
+    """Every run pays the CLI's imports in its setup time: past what `import numpy`
+    loads, importing diffcomb.cli may load standard-library and diffcomb modules
+    only (numpy.random, for one, stays unloaded)."""
+    code = ("import json, sys, numpy; before = set(sys.modules); import diffcomb.cli;"
+            " print(json.dumps(sorted(set(sys.modules) - before)))")
+    env = {**os.environ, "PYTHONPATH": str(Path(diffcomb.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    loaded = json.loads(run.stdout)
+    assert "diffcomb.cli" in loaded
+    assert [name for name in loaded if name.split(".")[0] != "diffcomb"
+            and name.split(".")[0] not in sys.stdlib_module_names] == []
 
 
 # ── Golden runs ────────────────────────────────────────────────────────────

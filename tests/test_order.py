@@ -245,6 +245,62 @@ class TestPatchComplexity:
         assert (pc.entries, pc.saturated) == set_patch_complexity(RS, 3200, 63)
         assert [c for _, c in pc.entries[:16]] == RS_PATCH_COUNTS
 
+    @pytest.mark.parametrize("past", [0, 1], ids=["at", "past"])
+    @pytest.mark.parametrize("spec,limit", [
+        (RS, 32), (dc.ModelSpec.constant(2.0), 64), (dc.ModelSpec.periodic((1.0, -1.0, 0.5)), 32),
+        (dc.ModelSpec.periodic((1.0, -1.0, 0.5, 2.0, 3.0, 4.0, 5.0)), 21),
+    ], ids=["rs", "constant", "3-letters", "7-letters"])
+    def test_at_and_past_the_64_bit_limit(self, monkeypatch, spec, limit, past):
+        # limit codes of a.bit_length() bits fill 64 bits, one more overflows: the
+        # path not taken raises, so neither can stand in for the other unnoticed
+        def not_taken(*args):
+            raise AssertionError("wrong path")
+        monkeypatch.setattr(order, "_prefix_counts" if past else "_subword_ranks", not_taken)
+        N, L_max = 50 * (limit + past), limit + past
+        pc = dc.patch_complexity(spec, N, L_max)
+        assert (pc.entries, pc.saturated) == horner_patch_complexity(spec, N, L_max)
+
+    def test_unique_end_subwords_match_set_oracle(self):
+        # a period longer than [-2N, 2N] whose letter at each end of both windows
+        # occurs nowhere else: every subword through an end is unique, and so is
+        # each of the last L_max - 1 codes of each window; 6 letters, so 21 codes
+        # of 3 bits fill the 64-bit limit
+        N = 1100
+        pattern = np.random.default_rng(6).choice([-1.0, 1.0], size=5000)
+        for n, value in zip((N, -N, 2 * N, -2 * N), (2.0, 3.0, 4.0, 5.0)):
+            pattern[n % pattern.size] = value
+        spec = dc.ModelSpec.periodic(tuple(pattern))
+        for L_max in (1, 2, 9, 21):
+            pc = dc.patch_complexity(spec, N, L_max)
+            assert (pc.entries, pc.saturated) == set_patch_complexity(spec, N, L_max)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        letters=st.integers(1, 6),
+        period=st.integers(1, 300),
+        size=st.integers(1, 3000),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_prefix_counts_match_subword_ranks(self, letters, period, size, seed, data):
+        # every distinct-subword count of a digit string, to the 64-bit limit of
+        # its codes; repeats of a short period give long common prefixes, and a
+        # letter placed once makes the subwords around it unique
+        L_max = data.draw(st.integers(1, 64 // letters.bit_length()), label="L_max")
+        rng = np.random.default_rng(seed)
+        digits = np.resize(rng.integers(0, letters, size=period, dtype=np.uint8),
+                           max(size, L_max, letters))
+        digits[rng.choice(digits.size, letters, replace=False)] = np.arange(letters)  # all occur
+        sizes = [count for _, count in _subword_ranks(digits, letters, L_max)]
+        assert order._prefix_counts(digits, letters, L_max).tolist() == sizes
+
+    def test_a_64_bit_xor_of_ones_keeps_its_bit_length(self):
+        # 3 letters, 32 codes of 2 bits: the sorted neighbours [3, 1, 3 x 30] and
+        # [3, 2, pad x 30] XOR to 62 one bits, which float64 rounds up to 2**62
+        digits = np.array([2, 0] + [2] * 30 + [2, 1], dtype=np.uint8)
+        sizes = [count for _, count in _subword_ranks(digits, 3, 32)]
+        assert order._prefix_counts(digits, 3, 32).tolist() == sizes
+
     def test_lengths_times_doubled_window_within_work_budget(self, monkeypatch):
         # a cap of 20000 allows 1280000 sites: 64 lengths of 19997, not 65
         monkeypatch.setenv(dc.MAX_WINDOW_ENV, "20000")
@@ -286,7 +342,7 @@ class TestPatchComplexity:
 def test_peak_memory_of_a_count(count):
     """Both counts read the letters of 2**19 + 1 sites as one byte per site, and
     no float window: the streamed sign bits of a +-1 model, the tiled ranks of a
-    cycle's entries.  The peaks read 0.82, 1.14, 0.41 and 1.14 window sizes of
+    cycle's entries.  The peaks read 0.82, 1.22, 0.41 and 1.14 window sizes of
     8 bytes per site (4.0, 4.0, 6.25 and 6.25 with a float window, its sort and
     fresh index arrays)."""
     tracemalloc.start()
