@@ -15,7 +15,8 @@ Philox4x64-10 block at counter 2**64 + n + 1 under the key (s, 0) (numpy's
 Philox, advanced by 2**64 + n, increments its counter before each block);
 the first 64-bit word of that block, mapped into [0, 1) as
 (word >> 11) * 2**-53, is the uniform variate for n.  The sign at n is kept
-exactly when the variate is < p.
+exactly when the variate is < p: in integers, when word < ceil(p * 2**53) * 2**11,
+the form the coin reads off the raw word (_signs).
 
 Lattice domain: every window lies inside |n| < 2**62 (LATTICE_BOUND), so
 indices and index sums such as n + M stay exact in int64.
@@ -43,6 +44,7 @@ DEFAULT_SEEDS (1..50) when a run names none.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass, replace
 
@@ -361,21 +363,38 @@ _CHUNK = 1 << 16
 _DRAW = 1 << 12
 
 
+def _words(seed: int, first: int, count: int):
+    """The raw words of the sites first..first + count - 1, _DRAW sites at a time:
+    yields (offset of the draw's first site, its words)."""
+    bitgen = np.random.Philox(key=seed)
+    bitgen.advance(_STREAM_ORIGIN + first)
+    for done in range(0, count, _DRAW):
+        # Each index consumes one 4-word block; its first word is the raw draw.
+        yield done, bitgen.random_raw(4 * min(_DRAW, count - done))[::4]
+
+
 def index_uniforms(seed: int, first: int, last: int) -> np.ndarray:
     """Uniform [0,1) variates for lattice indices first..last, keyed by (seed, index)."""
     _check_seed(seed)
     if first > last:
         raise ValueError(f"empty index range: first={first} > last={last}")
-    total = last - first + 1
-    out = np.empty(total)
-    bitgen = np.random.Philox(key=seed)
-    bitgen.advance(_STREAM_ORIGIN + first)
-    for done in range(0, total, _DRAW):
-        count = min(_DRAW, total - done)
-        # Each index consumes one 4-word block; its first word is the raw draw.
-        words = bitgen.random_raw(4 * count)[::4]
-        out[done : done + count] = (words >> np.uint64(11)) * (1.0 / (1 << 53))
+    out = np.empty(last - first + 1)
+    for done, words in _words(seed, first, out.size):
+        out[done : done + words.size] = (words >> np.uint64(11)) * (1.0 / (1 << 53))
     return out
+
+
+def _signs(spec: ModelSpec, first: int, count: int) -> np.ndarray:
+    """The coin's factors at first..first + count - 1: -1.0 where it flips the sign (the
+    variate is >= p), else 1.0.  The variate is an integer over 2**53, so it is below p
+    exactly when the word is below ceil(p * 2**53) * 2**11, a limit that reaches 2**64
+    only at p = 1."""
+    signs = np.ones(count)
+    limit = math.ceil(math.ldexp(spec.p, 53)) << 11
+    if limit < 1 << 64:
+        for done, words in _words(spec.seed, first, count):
+            signs[done : done + words.size] -= 2.0 * (words >= np.uint64(limit))
+    return signs
 
 
 # ── Windows ────────────────────────────────────────────────────────────────
@@ -457,7 +476,7 @@ def _fill_block(spec: ModelSpec, out: np.ndarray, first: int, repeated: np.ndarr
     if coin is not None:
         # The base's signs, each kept exactly when the stream's variate is below p.
         _fill_block(coin, out, first, repeated)
-        out *= np.where(index_uniforms(spec.seed, first, first + out.size - 1) < spec.p, 1.0, -1.0)
+        out *= _signs(spec, first, out.size)
         return
     if repeated is None:
         out[:] = rs_weights(np.arange(first, first + out.size))

@@ -9,6 +9,7 @@ a constant diffuse density (singular-continuous parts are not modelled).
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from .combs import (
     _check_count,
     _check_tolerance,
     _check_window_length,
+    _signs,
     ensemble,
     generate_window,
 )
@@ -49,14 +51,43 @@ class Periodogram:
 
 def periodogram(spec: ModelSpec, N: int, G: int) -> Periodogram:
     """Scaled intensity of the window [-N, N] on the G-point wavenumber grid."""
+    return _periodogram(next(_folds(spec, (spec,), N, G)), N)
+
+
+def _periodogram(folded: np.ndarray, N: int) -> Periodogram:
+    """The periodogram of a window of 2N + 1 sites from its sums over the residues mod G."""
+    return Periodogram(folded.size, np.abs(np.fft.fft(folded)) ** 2 / (2 * N + 1))
+
+
+def _folds(spec: ModelSpec, streams, N: int, G: int):
+    """The sums over the residues mod G of the window [-N, N] of each stream of spec's
+    ensemble.  The window of the deterministic base (a coin's base, else the model) and
+    its residues are made once; each stream sums it negated where its coin flips."""
     _check_count("window half-size N", N)
     _check_count("grid size G", G)
     _check_window_length(G)
-    w = generate_window(spec, -N, N).weights
+    base = generate_window(spec.coin_base or spec, -N, N).weights
     residues = np.arange(-N, N + 1) % G
-    folded = np.bincount(residues, weights=w, minlength=G)
-    amplitudes = np.fft.fft(folded)
-    return Periodogram(G, np.abs(amplitudes) ** 2 / (2 * N + 1))
+    for stream in streams:
+        with _flipped(base, stream, -N):
+            folded = np.bincount(residues, weights=base, minlength=G)
+        yield folded
+
+
+@contextmanager
+def _flipped(values: np.ndarray, stream: ModelSpec, first: int):
+    """values, sites first, first + 1, ... of the base's window (or of its terms), times
+    stream's coin signs in place, and restored on exit: a product with +-1 is exact, so
+    inside they hold stream's own window's values.  A model with no coin keeps them."""
+    if stream.coin_base is None:
+        yield
+        return
+    signs = _signs(stream, first, values.size)
+    values *= signs
+    try:
+        yield
+    finally:
+        values *= signs
 
 
 def direct_intensity(window: WeightWindow, k: float) -> float:
@@ -114,7 +145,13 @@ def bragg_weight(spec: ModelSpec, k0, N_list, seeds=None) -> BraggWeightEstimate
     """Finite-size point-mass weight at one wavenumber, ensemble-averaged for
     stochastic models (default seeds 1..50); the extrapolated limit is the
     value at the largest window.  Seeds x sites of the largest window are
-    bounded by the ensemble budget (ENSEMBLE_WORK_FACTOR window caps)."""
+    bounded by the ensemble budget (ENSEMBLE_WORK_FACTOR window caps).
+
+    The terms base(n) e^{-2 pi i k0 n} (a coin's base, else the model) are made
+    once, at the largest N, and each N sums their centre; a seed sums them times its
+    coin's +-1 signs (_flipped), equal to its own window's terms, so the intensities
+    are those of per-seed windows to the bit.
+    """
     k = as_wavenumber(k0)
     sizes = [int(N) for N in N_list]
     if not sizes:
@@ -124,14 +161,14 @@ def bragg_weight(spec: ModelSpec, k0, N_list, seeds=None) -> BraggWeightEstimate
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("N_list must be strictly increasing")
     streams = ensemble(spec, seeds, 2 * sizes[-1] + 1)
-    # Phase vector and windows at the largest N only; each N sums the centre of their product.
     top = sizes[-1]
     _check_window_length(2 * top + 1)
-    phase = np.exp(-2j * np.pi * k * np.arange(-top, top + 1))
+    terms = np.exp(-2j * np.pi * k * np.arange(-top, top + 1))
+    terms *= generate_window(spec.coin_base or spec, -top, top).weights
     intensities = []  # [stream][size]
     for stream in streams:
-        terms = generate_window(stream, -top, top).weights * phase
-        amplitudes = [np.sum(terms[top - N : top + N + 1]) for N in sizes]
+        with _flipped(terms, stream, -top):
+            amplitudes = [np.sum(terms[top - N : top + N + 1]) for N in sizes]
         intensities.append([_intensity(a, 2 * N + 1) for N, a in zip(sizes, amplitudes)])
     entries = [
         (N, float(np.mean([row[j] for row in intensities])) / (2 * N + 1))
@@ -242,10 +279,11 @@ def analytic_diffraction(spec: ModelSpec) -> SpectralMeasure:
 
 def ensemble_binned_masses(spec: ModelSpec, N: int, G: int, bins: int, seeds=None) -> np.ndarray:
     """Binned periodogram masses; stochastic specs are averaged over seeds (1..50 if None),
-    whose number times the 2N + 1 sites is bounded by the ensemble budget."""
+    whose number times the 2N + 1 sites is bounded by the ensemble budget.  The seeds
+    share one base window (_folds)."""
     masses = [
-        binned_measure(periodogram(stream, N, G), bins).masses
-        for stream in ensemble(spec, seeds, 2 * N + 1)
+        binned_measure(_periodogram(folded, N), bins).masses
+        for folded in _folds(spec, ensemble(spec, seeds, 2 * N + 1), N, G)
     ]
     return sum(masses) / len(masses)
 

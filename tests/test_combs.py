@@ -1,10 +1,13 @@
 """Model specs, windows, and the per-index random stream."""
 
+import math
 import tracemalloc
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import diffcomb as dc
@@ -562,6 +565,21 @@ class TestSignBits:
         for (first, last), bits in zip(ranges, expected):
             assert np.array_equal(combs._sign_bits(spec, first, last), bits), (first, last)
 
+    @pytest.mark.parametrize("chunk,draw", [(7, 3), (combs._CHUNK, combs._DRAW)])
+    @pytest.mark.parametrize("spec", [
+        RS, dc.ModelSpec.bernoullised(RS, 0.4, 2**64 - 1),
+        dc.ModelSpec.bernoullised(
+            dc.ModelSpec.periodic(np.random.default_rng(6).choice([-1.0, 1.0], 23)), 0.4, 5),
+    ], ids=["rudin_shapiro", "bernoullised", "bernoullised-cycle"])
+    def test_lattice_edges_match_the_packed_window(self, monkeypatch, spec, chunk, draw):
+        ranges = [(-LATTICE_EDGE, -LATTICE_EDGE + 100), (LATTICE_EDGE - 100, LATTICE_EDGE),
+                  (-LATTICE_EDGE, -LATTICE_EDGE), (LATTICE_EDGE, LATTICE_EDGE)]
+        expected = [self.packed(spec, first, last) for first, last in ranges]
+        monkeypatch.setattr(combs, "_CHUNK", chunk)
+        monkeypatch.setattr(combs, "_DRAW", draw)
+        for (first, last), bits in zip(ranges, expected):
+            assert np.array_equal(combs._sign_bits(spec, first, last), bits), (first, last)
+
 
 WEIGHTS = st.one_of(
     st.just(0.0), st.floats(2.0**-128, 2.0**128), st.floats(-(2.0**128), -(2.0**-128))
@@ -669,6 +687,66 @@ class TestIndexUniforms:
         monkeypatch.setattr(combs, "_DRAW", 7)
         assert np.array_equal(dc.index_uniforms(5, -40, 60), whole)
         assert np.array_equal(dc.index_uniforms(5, -3, 4), whole[37:45])
+
+
+# The probabilities of the keep rule's edge cases: 0, 1, the smallest subnormal,
+# one ulp of a variate, one variate below 1, the neighbours of a dyadic 1/4, and
+# one irrational.
+KEEP_RULE_PS = [0.0, 1.0, 5e-324, 2.0**-53, 1 - 2.0**-53,
+                float(np.nextafter(0.25, 0.0)), float(np.nextafter(0.25, 1.0)), math.sqrt(2) - 1]
+
+
+class TestSigns:
+    """The coin's flips, read off the raw words as word >= ceil(p * 2**53) * 2**11,
+    against the stream contract's float rule: variate (word >> 11) * 2**-53 >= p."""
+
+    @staticmethod
+    def flips_of(monkeypatch, p, words):
+        """The flips of _signs of p on the given raw words in place of the stream's."""
+        chosen = np.array(words, dtype=np.uint64)
+        monkeypatch.setattr(combs, "_words", lambda seed, first, count: iter([(0, chosen)]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # nothing overflows, at p = 1 neither
+            return (combs._signs(dc.ModelSpec.bernoulli(p, 0), 0, chosen.size) < 0).tolist()
+
+    @staticmethod
+    def float_rule(p, words):
+        return [(word >> 11) * 2.0**-53 >= p for word in words]
+
+    @pytest.mark.parametrize("p", KEEP_RULE_PS)
+    def test_threshold_on_chosen_words(self, monkeypatch, p):
+        limit = math.ceil(Fraction(p) * 2**53) * 2**11
+        words = [w for w in (limit - 1, limit, 0, 2**64 - 1) if 0 <= w < 2**64]
+        assert self.flips_of(monkeypatch, p, words) == self.float_rule(p, words)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(p=st.floats(0.0, 1.0), words=st.lists(st.integers(0, 2**64 - 1), max_size=8))
+    def test_threshold_on_random_words(self, p, words):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            assert self.flips_of(monkeypatch, p, words) == self.float_rule(p, words)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        p=st.one_of(st.sampled_from(KEEP_RULE_PS), st.floats(0.0, 1.0)),
+        first=st.one_of(st.integers(-40, 10), st.integers(-LATTICE_EDGE, -LATTICE_EDGE + 60),
+                        st.integers(LATTICE_EDGE - 60, LATTICE_EDGE)),
+        length=st.integers(1, 60),
+        draw=st.sampled_from([1, 3, 7, 20, 64, combs._DRAW]),
+    )
+    @example(seed=5, p=0.25, first=-LATTICE_EDGE, length=9, draw=3)
+    @example(seed=2**64 - 1, p=0.75, first=LATTICE_EDGE - 8, length=9, draw=3)
+    @example(seed=0, p=0.5, first=-10, length=21, draw=7)
+    def test_stream_flips_where_the_variate_is_not_below_p(self, seed, p, first, length, draw):
+        """On ranges across 0, across draw seams and at the lattice edges; p is also
+        set to a variate of the range, which that site must flip."""
+        last = min(first + length - 1, LATTICE_EDGE)
+        variates = dc.index_uniforms(seed, first, last)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(combs, "_DRAW", draw)
+            for q in (p, float(variates[variates.size // 2])):
+                signs = combs._signs(dc.ModelSpec.bernoulli(q, seed), first, variates.size)
+                assert np.array_equal(signs, np.where(variates >= q, -1.0, 1.0)), (q, first, last)
 
 
 def _cap_of(monkeypatch, raw):

@@ -1,6 +1,7 @@
 """Periodograms, point-mass estimates, binned measures, and closed forms."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -18,6 +19,16 @@ def direct_periodogram(window, grid_size):
         amp = np.sum(window.weights * np.exp(-2j * np.pi * (j / grid_size) * n))
         out[j] = abs(amp) ** 2 / len(window)
     return out
+
+
+def traced_peak(call):
+    """The tracemalloc peak of call(), in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestPeriodogram:
@@ -74,6 +85,15 @@ class TestPeriodogram:
     def test_invalid_grid(self):
         with pytest.raises(ValueError):
             dc.periodogram(RS, 8, 0)
+
+    def test_peak_memory_of_a_coin(self):
+        """A coin's window is its base's, negated in place where the coin flips: at
+        N = 2**18 and G = 2**19 a bernoullised periodogram peaks at 5.0 window sizes
+        of 2N + 1 float64.  The generated window held through the FFT read 7.0, and a
+        copy of the base negated per stream 8.0."""
+        spec = dc.ModelSpec.bernoullised(RS, 0.25, 1)
+        peak = traced_peak(lambda: dc.periodogram(spec, 2**18, 2**19))
+        assert peak / ((2**19 + 1) * 8) < 7.5
 
     def test_csv_header(self, tmp_path):
         path = tmp_path / "pg.csv"
@@ -141,6 +161,16 @@ class TestBraggWeight:
             expected.append((N, intensity / (2 * N + 1)))
         assert est.entries == expected
 
+    @pytest.mark.parametrize("k0", ["1/2", "1/3"])
+    def test_peak_memory_does_not_grow_with_the_seeds(self, k0):
+        """The ensemble keeps one base-times-phase vector and one seed's signs,
+        whatever the seed count: a coin ensemble of 50 seeds at N = 2**16 peaks at
+        5.0 window sizes of 2N + 1 float64 at either k0.  With one generated window
+        and phase product per seed it read 7.9 at k0 = 1/2 and 7.1 at 1/3."""
+        spec = dc.ModelSpec.bernoullised(RS, 0.25, 1)
+        peak = traced_peak(lambda: dc.bragg_weight(spec, k0, [2**12, 2**16], seeds=range(1, 51)))
+        assert peak / ((2**17 + 1) * 8) < 8
+
     def test_oversized_window_refused_before_the_phase_vector(self):
         # an arange of 2**62 + 1 sites would fail with numpy's size error instead
         with pytest.raises(dc.ResourceLimitError, match="exceeds the cap"):
@@ -171,16 +201,17 @@ class TestBraggWeight:
             )
 
 
+COIN = dc.ModelSpec.bernoulli(0.5, 1)
+
+
 class TestEnsembleBudget:
     """Seeds x sites of an ensemble are bounded before the seeds are expanded."""
 
-    COIN = dc.ModelSpec.bernoulli(0.5, 1)
-
     def test_huge_seed_range_rejected_at_once(self):
         with pytest.raises(dc.ResourceLimitError, match="10000000000 seeds x 9 sites"):
-            dc.bragg_weight(self.COIN, 0, [4], seeds=range(10**10))
+            dc.bragg_weight(COIN, 0, [4], seeds=range(10**10))
         with pytest.raises(dc.ResourceLimitError, match="10000000000 seeds x 9 sites"):
-            dc.ensemble_binned_masses(self.COIN, 4, 8, 4, seeds=range(10**10))
+            dc.ensemble_binned_masses(COIN, 4, 8, 4, seeds=range(10**10))
 
     def test_unsized_seeds_drawn_up_to_one_past_the_budget(self, monkeypatch):
         # a cap of 100 allows 6400 sites: 711 seeds of 9 sites
@@ -193,10 +224,71 @@ class TestEnsembleBudget:
                 yield len(drawn)
 
         with pytest.raises(dc.ResourceLimitError, match="712 seeds x 9 sites"):
-            dc.bragg_weight(self.COIN, 0, [4], seeds=endless())
+            dc.bragg_weight(COIN, 0, [4], seeds=endless())
         assert len(drawn) == 712
-        masses = dc.ensemble_binned_masses(self.COIN, 4, 8, 4, seeds=iter(range(711)))
+        masses = dc.ensemble_binned_masses(COIN, 4, 8, 4, seeds=iter(range(711)))
         assert masses.shape == (4,)
+
+    @pytest.mark.parametrize("call, error, message", [
+        # the seed budget, then the seed list, then the sizes, then the bins
+        (lambda: dc.ensemble_binned_masses(COIN, 0, 0, 0, seeds=range(10**10)),
+         dc.ResourceLimitError, "10000000000 seeds x 1 sites exceed the ensemble budget"),
+        (lambda: dc.ensemble_binned_masses(COIN, 0, 0, 0, seeds=()),
+         ValueError, "seed list must be nonempty for stochastic models"),
+        (lambda: dc.ensemble_binned_masses(COIN, 0, 0, 0), ValueError,
+         "window half-size N must be positive, got 0"),
+        (lambda: dc.ensemble_binned_masses(COIN, 4, 0, 0), ValueError,
+         "grid size G must be positive, got 0"),
+        (lambda: dc.ensemble_binned_masses(COIN, 4, 2**23, 0), dc.ResourceLimitError,
+         "window of length 8388608 exceeds the cap"),
+        (lambda: dc.ensemble_binned_masses(COIN, 4, 8, 0), ValueError, "bins must be positive, got 0"),
+        (lambda: dc.ensemble_binned_masses(COIN, 4, 8, 3), ValueError,
+         "bins=3 does not divide grid size 8"),
+        # the sizes, then the seed budget and list, then the largest window
+        (lambda: dc.bragg_weight(COIN, 0, [0, 4], seeds=range(10**10)), ValueError,
+         "window half-size N must be positive, got 0"),
+        (lambda: dc.bragg_weight(COIN, 0, [4, 2**61], seeds=range(10**10)), dc.ResourceLimitError,
+         f"10000000000 seeds x {2**62 + 1} sites exceed the ensemble budget"),
+        (lambda: dc.bragg_weight(COIN, 0, [4], seeds=()), ValueError,
+         "seed list must be nonempty for stochastic models"),
+        (lambda: dc.bragg_weight(COIN, 0, [4, 2**22], seeds=[1]), dc.ResourceLimitError,
+         "window of length 8388609 exceeds the cap"),
+    ])
+    def test_refusal_order(self, call, error, message):
+        with pytest.raises(error) as refused:
+            call()
+        assert str(refused.value).startswith(message)
+
+
+class TestEnsembleBinnedMasses:
+    """The base window made once per ensemble gives the bits of the mean of the
+    binned periodograms of the seeds' own windows."""
+
+    @staticmethod
+    def window_periodogram(spec, N, G):
+        """The periodogram of the generated window itself, folded by residue mod G."""
+        w = dc.generate_window(spec, -N, N).weights
+        folded = np.bincount(np.arange(-N, N + 1) % G, weights=w, minlength=G)
+        return dc.Periodogram(G, np.abs(np.fft.fft(folded)) ** 2 / (2 * N + 1))
+
+    @pytest.mark.parametrize("spec, seeds", [
+        (RS, None), (dc.ModelSpec.periodic((0.5, 2.0, -1.0)), None),
+        (dc.ModelSpec.bernoullised(RS, 0.25, 1), (4, 5, 6)),
+        (dc.ModelSpec.bernoulli(0.3, 1), range(7, 11)),
+    ], ids=["rudin_shapiro", "periodic", "bernoullised", "bernoulli"])
+    @pytest.mark.parametrize("N, G, bins", [
+        (50, 16, 4),  # 2N + 1 = 101 sites from residue 14
+        (64, 8, 2),  # 129 sites from residue 0
+        (3, 32, 8),  # fewer sites than grid points
+    ])
+    def test_matches_the_regenerated_windows(self, spec, seeds, N, G, bins):
+        streams = [spec] if seeds is None else [replace(spec, seed=s) for s in seeds]
+        periodograms = [self.window_periodogram(stream, N, G) for stream in streams]
+        for stream, pg in zip(streams, periodograms):
+            assert np.array_equal(dc.periodogram(stream, N, G).intensities, pg.intensities)
+        masses = [dc.binned_measure(pg, bins).masses for pg in periodograms]
+        expected = sum(masses) / len(masses)
+        assert np.array_equal(dc.ensemble_binned_masses(spec, N, G, bins, seeds), expected)
 
 
 class TestBinnedMeasure:
