@@ -195,6 +195,8 @@ def _float_layout(negative, digits, e, json_style: bool):
 # An array with at most this many distinct values is deduplicated without a
 # sort (the +-1 weights have two).
 _FEW_DISTINCT = 4
+# Up to this many distinct values a float column takes the scalar rule: it costs less.
+_SCALAR_DISTINCT = 128
 
 
 def _distinct(values):
@@ -228,13 +230,13 @@ def _float_text(column, json_style: bool):
     the rest goes through the scalar rule, fmt (CSV) or _json_float (JSON):
     0, NaN, +-inf, extreme magnitudes, undecided roundings and, in CSV, the
     integral values in [1e12, 1e15), which fmt writes whole (below 1e12 the
-    two texts agree).
+    two texts agree); all of them do in a column of at most _SCALAR_DISTINCT.
     """
     bits = np.ascontiguousarray(column, dtype=np.float64).view(np.int64)
     distinct, inverse = _distinct(bits)
     x = distinct.view(np.float64)
     magnitude = np.abs(x)
-    rows = np.flatnonzero((magnitude >= _TINY) & (magnitude < _HUGE))
+    rows = np.flatnonzero((magnitude >= _TINY) & (magnitude < _HUGE) & (x.size > _SCALAR_DISTINCT))
     if not json_style:
         a = magnitude[rows]
         rows = rows[(a < 1e12) | (a >= 1e15) | (np.floor(a) != a)]

@@ -16,7 +16,7 @@ Philox, advanced by 2**64 + n, increments its counter before each block);
 the first 64-bit word of that block, mapped into [0, 1) as
 (word >> 11) * 2**-53, is the uniform variate for n.  The sign at n is kept
 exactly when the variate is < p: in integers, when word < ceil(p * 2**53) * 2**11,
-the form the coin reads off the raw word (_signs).
+so the coin's flips are the bool mask word >= that limit of the raw words (_flips).
 
 Lattice domain: every window lies inside |n| < 2**62 (LATTICE_BOUND), so
 indices and index sums such as n + M stay exact in int64.
@@ -26,12 +26,12 @@ Weights: a nonzero w or pattern entry has a magnitude in [2**-128, 2**128]
 
 Memory: generate_window allocates a window once and fills it in blocks of
 _CHUNK = 2**16 sites, each by its shape's rule on the block's own indices, so
-a window costs its own 8 bytes per site plus one block's scratch (about
-3 MiB), whatever its length; a cycle is converted once per window, into its
-repeats over one block (_repeated_cycle).  _sign_bits streams the same blocks through one
-reused block buffer into packed sign bits, one bit per site, for the +-1
-correlation kernel.  The coin draws its Philox words _DRAW = 2**12 sites at a
-time, so the draw buffer stays small enough for the allocator to reuse.
+a window costs its own 8 bytes per site plus one block's scratch, whatever its
+length; a cycle's block is a slice of its repeats, made once (_cycle_blocks).
+A +-1 model's rule is its bool mask of negative signs (_negatives): other window
+blocks are 1 - 2 * mask, and _sign_bits packs the mask into bits for the +-1
+correlation kernel, with no float made.  The coin draws its Philox words _DRAW =
+2**12 sites at a time, so the draw buffer stays small enough for the allocator to reuse.
 
 Specs: ModelSpec's constructor is the one check of every field (name, the
 fields the model takes, types, ranges); from_json only reads the JSON shape,
@@ -156,6 +156,16 @@ def _number(name: str, value) -> float:
         raise ValueError(f"{name} is out of range, got {value}") from None
 
 
+def _numbers(name: str, values) -> tuple[float, ...]:
+    """tuple(_number(name, x) for x in values), in one pass when no entry needs its rule."""
+    if set(map(type, values)) <= {int, float}:
+        try:
+            return tuple(map(float, values))
+        except OverflowError:
+            pass
+    return tuple(_number(name, x) for x in values)
+
+
 def _check_seed(seed) -> None:
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise ValueError(f"seed must be an integer, got {seed!r}")
@@ -195,8 +205,7 @@ class ModelSpec:
         if self.pattern is not None:
             if not isinstance(self.pattern, (list, tuple)):
                 raise ValueError(f"pattern must be a list of numbers, got {self.pattern!r}")
-            entries = tuple(_number("pattern entry", x) for x in self.pattern)
-            object.__setattr__(self, "pattern", entries)
+            object.__setattr__(self, "pattern", _numbers("pattern entry", self.pattern))
             if not self.pattern:
                 raise ValueError("pattern must be nonempty")
             _check_weights("pattern entries", self.pattern)
@@ -348,8 +357,15 @@ def rs_weights(indices) -> np.ndarray:
     logical shift, the leading ones of a negative n carry its sign: -1 has 63
     such pairs.
     """
-    u = np.array(indices, dtype=np.int64).view(np.uint64)
-    return 1.0 - 2.0 * (np.bitwise_count(u & (u >> 1)) & 1)
+    return 1.0 - 2.0 * _rs_negatives(indices)
+
+
+def _rs_negatives(indices) -> np.ndarray:
+    """The mask rs_weights(indices) < 0, as bools: the parity of the "11" blocks."""
+    u = np.asarray(indices, dtype=np.int64).view(np.uint64)
+    pairs = u >> 1
+    pairs &= u  # in place: one index-sized temporary fewer
+    return (np.bitwise_count(pairs) & 1).view(bool)
 
 
 # ── Counter-based stochastic stream ────────────────────────────────────────
@@ -384,17 +400,15 @@ def index_uniforms(seed: int, first: int, last: int) -> np.ndarray:
     return out
 
 
-def _signs(spec: ModelSpec, first: int, count: int) -> np.ndarray:
-    """The coin's factors at first..first + count - 1: -1.0 where it flips the sign (the
-    variate is >= p), else 1.0.  The variate is an integer over 2**53, so it is below p
-    exactly when the word is below ceil(p * 2**53) * 2**11, a limit that reaches 2**64
-    only at p = 1."""
-    signs = np.ones(count)
+def _flips(spec: ModelSpec, first: int, count: int) -> np.ndarray:
+    """Where the coin of spec flips its base's sign at first..first + count - 1: where its
+    variate, an integer over 2**53, is >= p, so its word >= ceil(p * 2**53) * 2**11."""
+    flips = np.zeros(count, dtype=bool)
     limit = math.ceil(math.ldexp(spec.p, 53)) << 11
     if limit < 1 << 64:
         for done, words in _words(spec.seed, first, count):
-            signs[done : done + words.size] -= 2.0 * (words >= np.uint64(limit))
-    return signs
+            np.greater_equal(words, np.uint64(limit), out=flips[done : done + words.size])
+    return flips
 
 
 # ── Windows ────────────────────────────────────────────────────────────────
@@ -448,58 +462,60 @@ def generate_window(spec: ModelSpec, first: int, last: int) -> WeightWindow:
     the window generated on [lo, hi] directly are identical arrays.
 
     Memory: the window is allocated once and filled in blocks of _CHUNK sites,
-    so it costs its own 8 bytes per site plus one block's scratch (about
-    3 MiB), whatever its length.
+    so it costs its own 8 bytes per site plus one block's scratch (1 to
+    2 MiB), whatever its length.
     """
     _check_window(first, last)
     weights = np.empty(last - first + 1)
-    repeated = _repeated_cycle(spec, min(_CHUNK, weights.size))
+    cycle_block = _cycle_blocks(spec, min(_CHUNK, weights.size))
     for start in range(0, weights.size, _CHUNK):
-        _fill_block(spec, weights[start : start + _CHUNK], first + start, repeated)
+        _fill_block(spec, weights[start : start + _CHUNK], first + start, cycle_block)
     return WeightWindow(first, weights)
 
 
-def _repeated_cycle(spec: ModelSpec, block: int) -> np.ndarray | None:
-    """The cycle of spec, or of its coin base, repeated so that every block of up
-    to block sites is one slice of it; None for the Rudin-Shapiro signs.  Made
-    once per window, so a long cycle is not converted again for every block."""
+def _cycle_blocks(spec: ModelSpec, block: int):
+    """The cycle of spec or of its coin base as (first, count) -> its weights from first on,
+    count <= block: a slice of its repeats, made once per window.  None for Rudin-Shapiro."""
     cycle = (spec.coin_base or spec).cycle
     if cycle is None:
         return None
-    return np.pad(cycle, (0, block - 1), mode="wrap")
+    repeated = np.pad(cycle, (0, block - 1), mode="wrap")
+    return lambda first, count: repeated[first % len(cycle) :][:count]
 
 
-def _fill_block(spec: ModelSpec, out: np.ndarray, first: int, repeated: np.ndarray | None) -> None:
-    """Writes the weights of spec at first, first + 1, ... into the block out,
-    a cycle's as one slice of repeated (_repeated_cycle)."""
-    coin = spec.coin_base
-    if coin is not None:
-        # The base's signs, each kept exactly when the stream's variate is below p.
-        _fill_block(coin, out, first, repeated)
-        out *= _signs(spec, first, out.size)
-        return
-    if repeated is None:
-        out[:] = rs_weights(np.arange(first, first + out.size))
-    else:  # the cycle turned to start at first
-        start = first % len(spec.cycle)
-        out[:] = repeated[start : start + out.size]
+def _negatives(spec: ModelSpec, first: int, count: int, cycle_block) -> np.ndarray:
+    """The bool mask w(n) < 0 at n = first..first + count - 1, the one rule of each shape:
+    a coin's base mask XOR its flips, the Rudin-Shapiro parity, or a cycle's block < 0."""
+    if (coin := spec.coin_base) is not None:
+        return _negatives(coin, first, count, cycle_block) ^ _flips(spec, first, count)
+    if cycle_block is None:
+        return _rs_negatives(np.arange(first, first + count))
+    return cycle_block(first, count) < 0
+
+
+def _fill_block(spec: ModelSpec, out: np.ndarray, first: int, cycle_block) -> None:
+    """Writes the weights of spec at first, first + 1, ... into the block out: a cycle's
+    block (_cycle_blocks), else 1 - 2 * the +-1 model's mask (_negatives), in place."""
+    if spec.cycle is not None:
+        out[:] = cycle_block(first, out.size)
+    else:
+        np.multiply(_negatives(spec, first, out.size, cycle_block), -2.0, out=out)
+        out += 1.0
 
 
 def _sign_bits(spec: ModelSpec, first: int, last: int) -> np.ndarray:
     """The bits w(n) < 0 for n = first..last, packed little-endian into bytes:
     np.packbits(generate_window(spec, first, last).weights < 0, bitorder="little").
 
-    The caller checks the range (_check_window).  The sites are filled in blocks
-    through one reused buffer of at least _CHUNK sites, a multiple of 8 so that
-    every block but the last packs into whole bytes; no window is allocated.
+    The caller checks the range (_check_window).  Each block of at least _CHUNK
+    sites, a multiple of 8 so that every block but the last packs into whole bytes,
+    is packed from its mask (_negatives): no float and no window is made.
     """
     total = last - first + 1
     step = -(-_CHUNK // 8) * 8
-    block = np.empty(min(step, total))
     bits = np.empty(-(-total // 8), dtype=np.uint8)
-    repeated = _repeated_cycle(spec, block.size)
-    for start in range(0, total, step):
-        part = block[: total - start]
-        _fill_block(spec, part, first + start, repeated)
-        bits[start // 8 : (start + part.size + 7) // 8] = np.packbits(part < 0, bitorder="little")
+    cycle_block = _cycle_blocks(spec, min(step, total))
+    for start in range(0, total, step):  # the last slice of bits ends where bits ends
+        mask = _negatives(spec, first + start, min(step, total - start), cycle_block)
+        bits[start // 8 : (start + step) // 8] = np.packbits(mask, bitorder="little")
     return bits

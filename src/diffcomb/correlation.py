@@ -107,7 +107,8 @@ def analytic_autocorrelation(spec: ModelSpec, M: int) -> Autocorrelation:
         c = np.asarray(cycle)
         lags = range(-M, -M + min(2 * M + 1, c.size))
         _check_work(len(lags), "lags", c.size, "work")
-        means = np.array([float(c @ np.roll(c, -k)) for k in lags]) / c.size
+        twice = np.concatenate((c, c))  # every rotation of c is a slice of it
+        means = np.array([float(c @ twice[k % c.size :][: c.size]) for k in lags]) / c.size
         eta = np.tile(means, -(-(2 * M + 1) // means.size))[: 2 * M + 1]
     elif coin is None:
         eta = np.zeros(2 * M + 1)

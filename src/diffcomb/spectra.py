@@ -22,7 +22,7 @@ from .combs import (
     _check_count,
     _check_tolerance,
     _check_window_length,
-    _signs,
+    _flips,
     ensemble,
     generate_window,
 )
@@ -82,7 +82,8 @@ def _flipped(values: np.ndarray, stream: ModelSpec, first: int):
     if stream.coin_base is None:
         yield
         return
-    signs = _signs(stream, first, values.size)
+    signs = -2.0 * _flips(stream, first, values.size)
+    signs += 1.0
     values *= signs
     try:
         yield

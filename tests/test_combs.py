@@ -85,6 +85,19 @@ class TestRudinShapiroWeights:
         vec = dc.rs_weights(ns)
         assert all(dc.rs_weight(int(n)) == v for n, v in zip(ns, vec))
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(first=st.one_of(st.integers(-300, 100), st.integers(-LATTICE_EDGE, -LATTICE_EDGE + 200),
+                           st.integers(LATTICE_EDGE - 200, LATTICE_EDGE)),
+           length=st.integers(1, 200))
+    @example(first=-LATTICE_EDGE, length=1)
+    @example(first=LATTICE_EDGE, length=1)
+    @example(first=-100, length=200)
+    def test_negative_mask_matches_the_scalar_rule(self, first, length):
+        last = min(first + length - 1, LATTICE_EDGE)
+        mask = combs._negatives(RS, first, last - first + 1, None)
+        assert mask.dtype == bool
+        assert mask.tolist() == [dc.rs_weight(n) < 0 for n in range(first, last + 1)]
+
     def test_two_sided_balance(self):
         # calibrated constant: measured |mean| * sqrt(N) stays below 0.8
         for e in range(8, 13):
@@ -161,6 +174,8 @@ class TestModelSpec:
         ({"model": "periodic", "pattern": 5}, "pattern must be a list of numbers, got 5"),
         ({"model": "periodic", "pattern": [1, True]}, "pattern entry must be a number, got True"),
         ({"model": "constant", "w": 10**400}, "w is out of range, got 1000"),
+        ({"model": "periodic", "pattern": [0.5, "2"]}, "pattern entry must be a number, got '2'"),
+        ({"model": "periodic", "pattern": [0.5, 10**400]}, "pattern entry is out of range, got 1000"),
     ]
 
     @pytest.mark.parametrize("fields,message", BAD_FIELDS)
@@ -536,13 +551,20 @@ class TestBlocks:
         RS, dc.ModelSpec.periodic((1.0, 2.0, -1.0)), dc.ModelSpec.bernoulli(0.3, 3),
     ], ids=lambda spec: spec.model)
     def test_peak_memory_of_a_window(self, spec):
-        """Its own bytes plus one block's scratch: 1.13, 1.09 and 1.27 window sizes."""
+        """Its own bytes plus one block's scratch: 1.07, 1.03 and 1.10 window sizes."""
         assert window_peak(spec) < 1.5
+
+
+# Rudin-Shapiro, a coin over it and a coin over a 23-entry +-1 cycle.
+SIGN_BIT_MODELS = [RS, dc.ModelSpec.bernoullised(RS, 0.4, 2**64 - 1), dc.ModelSpec.bernoullised(
+    dc.ModelSpec.periodic(np.random.default_rng(6).choice([-1.0, 1.0], 23)), 0.4, 5)]
+SIGN_BIT_IDS = ["rudin_shapiro", "bernoullised", "bernoullised-cycle"]
 
 
 class TestSignBits:
     """The +-1 estimator's packed sign bits, streamed block by block, are the bytes
-    of np.packbits(window < 0, bitorder="little") of the generated window."""
+    of np.packbits(window < 0, bitorder="little") of the generated window and of
+    the scalar oracles' weights."""
 
     @staticmethod
     def packed(spec, first, last):
@@ -566,11 +588,7 @@ class TestSignBits:
             assert np.array_equal(combs._sign_bits(spec, first, last), bits), (first, last)
 
     @pytest.mark.parametrize("chunk,draw", [(7, 3), (combs._CHUNK, combs._DRAW)])
-    @pytest.mark.parametrize("spec", [
-        RS, dc.ModelSpec.bernoullised(RS, 0.4, 2**64 - 1),
-        dc.ModelSpec.bernoullised(
-            dc.ModelSpec.periodic(np.random.default_rng(6).choice([-1.0, 1.0], 23)), 0.4, 5),
-    ], ids=["rudin_shapiro", "bernoullised", "bernoullised-cycle"])
+    @pytest.mark.parametrize("spec", SIGN_BIT_MODELS, ids=SIGN_BIT_IDS)
     def test_lattice_edges_match_the_packed_window(self, monkeypatch, spec, chunk, draw):
         ranges = [(-LATTICE_EDGE, -LATTICE_EDGE + 100), (LATTICE_EDGE - 100, LATTICE_EDGE),
                   (-LATTICE_EDGE, -LATTICE_EDGE), (LATTICE_EDGE, LATTICE_EDGE)]
@@ -579,6 +597,41 @@ class TestSignBits:
         monkeypatch.setattr(combs, "_DRAW", draw)
         for (first, last), bits in zip(ranges, expected):
             assert np.array_equal(combs._sign_bits(spec, first, last), bits), (first, last)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        spec=st.sampled_from(SIGN_BIT_MODELS),
+        first=st.one_of(st.integers(-150, 20), st.integers(-LATTICE_EDGE, -LATTICE_EDGE + 150),
+                        st.integers(LATTICE_EDGE - 150, LATTICE_EDGE)),
+        length=st.integers(1, 150),
+        chunk=st.sampled_from([7, 8, 16, 64, combs._CHUNK]),
+        draw=st.sampled_from([1, 3, 7, 64, combs._DRAW]),
+    )
+    @example(spec=SIGN_BIT_MODELS[1], first=-70, length=141, chunk=16, draw=3)
+    @example(spec=SIGN_BIT_MODELS[2], first=LATTICE_EDGE - 40, length=41, chunk=7, draw=1)
+    def test_bits_match_the_scalar_oracles(self, spec, first, length, chunk, draw):
+        """Across 0, block and draw seams and the lattice edges, against rs_weight and
+        the stream contract computed by the independent Philox."""
+        last = min(first + length - 1, LATTICE_EDGE)
+        oracle = [oracle_weight(spec, n) < 0 for n in range(first, last + 1)]
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(combs, "_CHUNK", chunk)
+            monkeypatch.setattr(combs, "_DRAW", draw)
+            bits = combs._sign_bits(spec, first, last)
+        assert np.array_equal(bits, np.packbits(oracle, bitorder="little")), (first, last)
+
+    @pytest.mark.parametrize("spec", SIGN_BIT_MODELS, ids=SIGN_BIT_IDS)
+    def test_peak_memory_of_the_bits(self, spec):
+        """2**21 sites hold 256 KiB of bits plus one block's scratch: below the 2 MiB of a
+        whole-window bool mask, and far below its 16 MiB of floats."""
+        tracemalloc.start()
+        try:
+            bits = combs._sign_bits(spec, -(2**20), 2**20 - 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert bits.nbytes == 2**18
+        assert peak < 2**21
 
 
 WEIGHTS = st.one_of(
@@ -702,12 +755,12 @@ class TestSigns:
 
     @staticmethod
     def flips_of(monkeypatch, p, words):
-        """The flips of _signs of p on the given raw words in place of the stream's."""
+        """The flips of p on the given raw words in place of the stream's."""
         chosen = np.array(words, dtype=np.uint64)
         monkeypatch.setattr(combs, "_words", lambda seed, first, count: iter([(0, chosen)]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # nothing overflows, at p = 1 neither
-            return (combs._signs(dc.ModelSpec.bernoulli(p, 0), 0, chosen.size) < 0).tolist()
+            return combs._flips(dc.ModelSpec.bernoulli(p, 0), 0, chosen.size).tolist()
 
     @staticmethod
     def float_rule(p, words):
@@ -745,8 +798,9 @@ class TestSigns:
         with pytest.MonkeyPatch.context() as monkeypatch:
             monkeypatch.setattr(combs, "_DRAW", draw)
             for q in (p, float(variates[variates.size // 2])):
-                signs = combs._signs(dc.ModelSpec.bernoulli(q, seed), first, variates.size)
-                assert np.array_equal(signs, np.where(variates >= q, -1.0, 1.0)), (q, first, last)
+                flips = combs._flips(dc.ModelSpec.bernoulli(q, seed), first, variates.size)
+                assert flips.dtype == bool
+                assert np.array_equal(flips, variates >= q), (q, first, last)
 
 
 def _cap_of(monkeypatch, raw):

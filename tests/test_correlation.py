@@ -194,6 +194,7 @@ class TestEmpiricalAutocorrelation:
             raise AssertionError("a site was generated")
 
         monkeypatch.setattr(combs, "_fill_block", generated)
+        monkeypatch.setattr(combs, "_negatives", generated)
         with pytest.raises(ValueError) as refused:
             dc.empirical_autocorrelation(spec, N, M)
         assert type(refused.value) is ValueError
@@ -256,6 +257,15 @@ class TestAnalyticAutocorrelation:
             c = np.array(pattern)
             for m in range(-M, M + 1):
                 assert ac.value(m) == float(c @ np.roll(c, -(m % c.size))) / c.size
+
+    @pytest.mark.parametrize("q,M", [(1, 0), (1, 5), (2, 3), (3, 199), (64, 70), (65, 31),
+                                     (997, 150), (16000, 64), (16001, 199)])
+    def test_periodic_cyclic_means_match_rolled_copies_bitwise(self, q, M):
+        # non-integer entries, so the sums round; every lag against c @ np.roll(c, -m)
+        c = np.random.default_rng(q + M).normal(size=q)
+        ac = dc.analytic_autocorrelation(dc.ModelSpec.periodic(c), M)
+        rolled = [float(c @ np.roll(c, -m)) / q for m in range(-M, M + 1)]
+        assert ac.eta.tolist() == rolled
 
     def test_window_cap_applies_to_lag_range(self, monkeypatch):
         monkeypatch.setenv(dc.MAX_WINDOW_ENV, "101")

@@ -4,6 +4,7 @@ import json
 import math
 import re
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
@@ -51,17 +52,24 @@ def oracle(columns, values, output_format) -> str:
     return json.dumps({"columns": columns, "rows": cells}, indent=2) + "\n"
 
 
-def written(columns, values, output_format, chunk=None) -> str:
-    """The writer's text, with _CHUNK_ROWS set to `chunk` for the call when given."""
-    saved = _util._CHUNK_ROWS
-    _util._CHUNK_ROWS = chunk or saved
+@contextmanager
+def bounds(chunk=None, scalar_distinct=0):
+    """_CHUNK_ROWS set to `chunk` when given, and _SCALAR_DISTINCT to `scalar_distinct`
+    (by default 0: every float column takes the vectorised formatter), inside the block."""
+    saved = _util._CHUNK_ROWS, _util._SCALAR_DISTINCT
+    _util._CHUNK_ROWS, _util._SCALAR_DISTINCT = chunk or saved[0], scalar_distinct
     try:
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "table"
-            write_table(path, columns, values, output_format)
-            return path.read_text(encoding="ascii")
+        yield
     finally:
-        _util._CHUNK_ROWS = saved
+        _util._CHUNK_ROWS, _util._SCALAR_DISTINCT = saved
+
+
+def written(columns, values, output_format, chunk=None, scalar_distinct=0) -> str:
+    """The writer's text, inside bounds(chunk, scalar_distinct)."""
+    with bounds(chunk, scalar_distinct), tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table"
+        write_table(path, columns, values, output_format)
+        return path.read_text(encoding="ascii")
 
 
 @pytest.mark.parametrize("output_format", FORMATS)
@@ -233,9 +241,25 @@ def test_few_valued_column_over_chunks_matches_oracle(output_format, data, count
     assert written(["n", "w"], values, output_format, chunk) == oracle(["n", "w"], values, output_format)
 
 
+@pytest.mark.parametrize("output_format", FORMATS)
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_bytes_agree_on_both_sides_of_the_scalar_bound(output_format, extra):
+    """A column of _SCALAR_DISTINCT + extra distinct values, -0.0, 1e-300 and 1e300
+    among them, has the oracle's bytes with the writer's own bound and with every
+    value taken by the vectorised formatter or by the scalar rule."""
+    count = _util._SCALAR_DISTINCT + extra
+    x = np.concatenate([[-0.0, 1e-300, 1e300], np.random.default_rng(count).normal(size=count - 3)])
+    x = np.concatenate([x, x[::-1]])
+    values = [np.arange(x.size), x]
+    expected = oracle(["n", "x"], values, output_format)
+    for bound in (_util._SCALAR_DISTINCT, 0, x.size):
+        assert written(["n", "x"], values, output_format, scalar_distinct=bound) == expected, bound
+
+
 def cell_texts(x, output_format):
-    """The writer's text of each value of a float column, through its per-column formatter."""
-    rows = _util._float_text(np.asarray(x, dtype=np.float64), output_format == "json")(0, len(x))
+    """The writer's text of each value of a float column, through its vectorised formatter."""
+    with bounds():
+        rows = _util._float_text(np.asarray(x, dtype=np.float64), output_format == "json")(0, len(x))
     return [bytes(row[row != 0]).decode("ascii") for row in rows]
 
 
