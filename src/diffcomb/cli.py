@@ -30,6 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+# Imported at start, not per command: deferring them cost bench window_dump ~0.9 MiB peak RSS.
 from . import __version__
 from ._util import fmt, write_json
 from .combs import DEFAULT_SEEDS, ModelSpec, _check_tolerance, generate_window

@@ -77,7 +77,8 @@ def empirical_autocorrelation(spec: ModelSpec, N: int, M: int) -> Autocorrelatio
     The lattice domain and the window cap apply to [-N-M, N+M], so to
     2N + 2M + 1 sites, not 2N + 1.  A +-1 model's lag sums are counted in
     exact integers, the values its float products sum to below 2**53 sites,
-    from the sign bits of [-N, N+M]: one bit per site, no float window.
+    from the sign bits of [-N, N+M]: one bit per site, no float window.  Any
+    other model's (M + 1) x (2N + 1) multiply-adds are held to the work budget.
     """
     _check_count("window half-size N", N)
     _check_count("max lag M", M, 0)
@@ -86,6 +87,7 @@ def empirical_autocorrelation(spec: ModelSpec, N: int, M: int) -> Autocorrelatio
     if spec.is_binary:
         sums = _pm1_lag_sums(_sign_bits(spec, -N, N + M), size, M)
     else:
+        _check_work(M + 1, "lags", size, "work")
         w = generate_window(spec, -N, N + M).weights
         sums = np.array([w[:size] @ w[m : m + size] for m in range(M + 1)])
     half = sums / size

@@ -22,6 +22,7 @@ from .combs import (
     _check_count,
     _check_tolerance,
     _check_window_length,
+    _check_work,
     _flips,
     ensemble,
     generate_window,
@@ -145,8 +146,8 @@ class BraggWeightEstimate:
 def bragg_weight(spec: ModelSpec, k0, N_list, seeds=None) -> BraggWeightEstimate:
     """Finite-size point-mass weight at one wavenumber, ensemble-averaged for
     stochastic models (default seeds 1..50); the extrapolated limit is the
-    value at the largest window.  Seeds x sites of the largest window are
-    bounded by the ensemble budget (ENSEMBLE_WORK_FACTOR window caps).
+    value at the largest window.  Seeds x sites of the largest window, and streams
+    x the terms of all windows, are bounded by ENSEMBLE_WORK_FACTOR window caps.
 
     The terms base(n) e^{-2 pi i k0 n} (a coin's base, else the model) are made
     once, at the largest N, and each N sums their centre; a seed sums them times its
@@ -164,6 +165,7 @@ def bragg_weight(spec: ModelSpec, k0, N_list, seeds=None) -> BraggWeightEstimate
     streams = ensemble(spec, seeds, 2 * sizes[-1] + 1)
     top = sizes[-1]
     _check_window_length(2 * top + 1)
+    _check_work(len(streams), "streams", sum(2 * N + 1 for N in sizes), "work")
     terms = np.exp(-2j * np.pi * k * np.arange(-top, top + 1))
     terms *= generate_window(spec.coin_base or spec, -top, top).weights
     intensities = []  # [stream][size]

@@ -19,6 +19,7 @@ from diffcomb.cli import main
 
 RS_JSON = '{"model": "rudin_shapiro"}'
 COIN_JSON = '{"model": "bernoulli", "p": 0.25, "seed": 7}'
+FLOAT_JSON = '{"model": "periodic", "pattern": [1, 0.5, 2]}'  # not +-1
 
 
 def read_manifest(out_path):
@@ -595,10 +596,43 @@ class TestEnsembleBudget:
         assert not out.exists() and not out.with_name("eta.manifest.json").exists()
         assert main([*argv, "--M", "31"]) == 0  # 63 lags x 100 sites
 
+    @pytest.mark.parametrize("argv", [
+        ["autocorr", "--model", FLOAT_JSON],
+        ["homometry", "--a", FLOAT_JSON, "--b", FLOAT_JSON],
+        ["product", "--a", FLOAT_JSON, "--b", FLOAT_JSON, "--empirical"],
+    ], ids=["autocorr", "homometry", "product"])
+    def test_float_lag_sums_over_budget_exit_2(self, tmp_path, monkeypatch, capsys, argv):
+        """[-511, 511] fits a cap of 1024, but the (M + 1) x (2N + 1) multiply-adds of
+        a float window exceed 64 caps: refused before any window is generated."""
+        monkeypatch.setenv("DIFFCOMB_MAX_WINDOW", "1024")
+        calls = []
+        monkeypatch.setattr("diffcomb.correlation.generate_window",
+                            lambda *args: calls.append(args))
+        argv = [*argv, "--N", "255", "--M", "256", "--out", str(tmp_path / "out.csv")]
+        assert main(argv) == 2
+        assert "257 lags x 511 sites exceed the work budget of 65536 sites" in capsys.readouterr().err
+        assert calls == [] and not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("cap,argv,work", [
+        ("1024", ["--model", "rudin_shapiro", "--N-list", ",".join(map(str, range(1, 512)))],
+         "1 streams x 262143 sites"),
+        ("100", ["--model", COIN_JSON, "--N-list", "4,12", "--seeds", "1:256"],
+         "256 streams x 34 sites"),
+    ], ids=["deterministic", "coin-ensemble"])
+    def test_bragg_terms_over_budget_exit_2(self, tmp_path, monkeypatch, capsys, cap, argv, work):
+        """Every window of the N-list fits the cap, and a coin ensemble its budget, but
+        streams x the sum of all windows' terms exceed 64 caps."""
+        monkeypatch.setenv("DIFFCOMB_MAX_WINDOW", cap)
+        budget = 64 * int(cap)
+        assert main(["bragg", *argv, "--k0", "1/2", "--out", str(tmp_path / "b.json")]) == 2
+        assert f"{work} exceed the work budget of {budget} sites" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_ensemble_at_the_budget_runs(self, tmp_path, monkeypatch):
+        """256 seeds x 25 sites meet both the ensemble and the Bragg term budget exactly."""
         monkeypatch.setenv("DIFFCOMB_MAX_WINDOW", "100")
         out = tmp_path / "b.json"
-        argv = ["bragg", "--model", COIN_JSON, "--k0", "1/2", "--N-list", "4,12",
+        argv = ["bragg", "--model", COIN_JSON, "--k0", "1/2", "--N-list", "12",
                 "--seeds", "1:256", "--out", str(out)]
         assert main(argv) == 0
         assert len(json.loads(out.read_text())["seeds"]) == 256
@@ -688,6 +722,12 @@ class TestParsing:
         assert message in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+
+
+def test_package_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = Path(__file__).parents[1] / "pyproject.toml"
+    assert tomllib.loads(pyproject.read_text())["project"]["version"] == diffcomb.__version__
 
 
 def test_importing_the_cli_loads_only_numpy_the_standard_library_and_diffcomb():

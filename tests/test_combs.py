@@ -1,9 +1,15 @@
 """Model specs, windows, and the per-index random stream."""
 
+import importlib
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -307,10 +313,44 @@ class TestEnsemble:
 
 
 def test_public_names_resolve_once():
-    assert len(dc.__all__) == len(set(dc.__all__))
-    for name in dc.__all__:
-        assert hasattr(dc, name), name
+    """Each public name is the object of the one module that defines it; classes and
+    functions also name that module as theirs."""
+    assert len(dc.__all__) == len(set(dc.__all__)) == 42
+    assert sorted(dc.__all__) == sorted(name for names in dc._EXPORTS.values() for name in names)
+    for module, names in dc._EXPORTS.items():
+        defining = importlib.import_module(f"diffcomb.{module}")
+        assert getattr(dc, module) is defining
+        for name in names:
+            value = getattr(dc, name)
+            assert value is getattr(defining, name), name
+            assert getattr(value, "__module__", defining.__name__) == defining.__name__, name
     assert dc.DEFAULT_SEEDS is combs.DEFAULT_SEEDS
+
+
+LOADED = "sorted(name for name in sys.modules if name.split('.')[0] == 'diffcomb')"
+
+
+@pytest.mark.parametrize("code,expected", [
+    # a bare import loads no submodule
+    (f"import diffcomb; out = {LOADED}", ["diffcomb"]),
+    # a name loads the module that defines it, and what that module imports
+    (f"from diffcomb import ModelSpec; out = {LOADED}",
+     ["diffcomb", "diffcomb._util", "diffcomb.combs"]),
+    # an unknown name is an AttributeError (so hasattr is false), and loads nothing
+    ("import diffcomb\ntry: diffcomb.no_such_name\nexcept AttributeError as exc: out = str(exc)\n"
+     f"out = [out, hasattr(diffcomb, 'generate'), {LOADED}]",
+     ["module 'diffcomb' has no attribute 'no_such_name'", False, ["diffcomb"]]),
+    ("import diffcomb; out = sorted(set(diffcomb.__all__) - set(dir(diffcomb)))", []),
+    # a table module resolves after a bare import, as the module itself
+    ("import diffcomb; out = diffcomb.spectra is sys.modules['diffcomb.spectra']", True),
+], ids=["bare-import", "one-name", "unknown-name", "dir", "table-module"])
+def test_namespace_in_a_fresh_interpreter(code, expected):
+    """Run in its own interpreter, so no import made by another test is seen."""
+    env = {**os.environ, "PYTHONPATH": str(Path(dc.__file__).parents[1])}
+    script = f"import json, sys\n{code}\nprint(json.dumps(out))"
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, check=True)
+    assert json.loads(run.stdout) == expected
 
 
 class TestGenerateWindow:
