@@ -97,10 +97,14 @@ def max_window_length() -> int:
     return cap
 
 
-def _check_count(name: str, value: int, least: int = 1) -> None:
-    """Refuse a size or count below least (1: positive, 0: nonnegative)."""
+def _check_count(name: str, value: int, least: int = 1) -> int:
+    """int(value), refusing a size or count that is not an integer (a bool is not, an
+    np.integer is) or is below least (1: positive, 0: nonnegative)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ValueError(f"{name} must be {'positive' if least else 'nonnegative'}, got {value}")
+    return int(value)
 
 
 def _check_window_length(length: int) -> None:
@@ -501,6 +505,17 @@ def _fill_block(spec: ModelSpec, out: np.ndarray, first: int, cycle_block) -> No
     else:
         np.multiply(_negatives(spec, first, out.size, cycle_block), -2.0, out=out)
         out += 1.0
+
+
+def _sign_mask(spec: ModelSpec, first: int, last: int) -> np.ndarray:
+    """The bool mask w(n) < 0 for n = first..last, filled from _negatives in blocks of
+    _CHUNK sites, with no window-sized index array; the caller checks the range."""
+    mask = np.empty(last - first + 1, dtype=bool)
+    cycle_block = _cycle_blocks(spec, min(_CHUNK, mask.size))
+    for start in range(0, mask.size, _CHUNK):
+        block = mask[start : start + _CHUNK]
+        block[:] = _negatives(spec, first + start, block.size, cycle_block)
+    return mask
 
 
 def _sign_bits(spec: ModelSpec, first: int, last: int) -> np.ndarray:

@@ -3,8 +3,10 @@
 The periodogram I_N(k) = |sum_{|n|<=N} w(n) e^{-2 pi i k n}|^2 / (2N+1) is
 evaluated on the grid k = j/G by folding the window onto residues mod G and
 taking one FFT; that is algebraically the direct sum, since the phase only
-depends on n mod G.  Closed-form measures carry point masses on [0, 1) plus
-a constant diffuse density (singular-continuous parts are not modelled).
+depends on n mod G.  A Bragg weight at k = 0 or 1/2 of a +-1 model is counted
+from its sign mask, as its amplitude there is an integer.  Closed-form measures
+carry point masses on [0, 1) plus a constant diffuse density (singular-continuous
+parts are not modelled).
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .combs import (
     _check_window_length,
     _check_work,
     _flips,
+    _sign_mask,
     ensemble,
     generate_window,
 )
@@ -100,7 +103,7 @@ def direct_intensity(window: WeightWindow, k: float) -> float:
 
 def _intensity(amplitude, length: int) -> float:
     """|amplitude|^2 / length: the intensity of a window's phase sum."""
-    return float(np.abs(amplitude) ** 2) / length
+    return float(abs(amplitude) ** 2) / length
 
 
 # ── Bragg peak weight along growing windows ────────────────────────────────
@@ -149,30 +152,26 @@ def bragg_weight(spec: ModelSpec, k0, N_list, seeds=None) -> BraggWeightEstimate
     value at the largest window.  Seeds x sites of the largest window, and streams
     x the terms of all windows, are bounded by ENSEMBLE_WORK_FACTOR window caps.
 
-    The terms base(n) e^{-2 pi i k0 n} (a coin's base, else the model) are made
-    once, at the largest N, and each N sums their centre; a seed sums them times its
-    coin's +-1 signs (_flipped), equal to its own window's terms, so the intensities
-    are those of per-seed windows to the bit.
+    The base (a coin's base, else the model) is made once at the largest N, and each
+    seed reads it with its coin's flips, so the intensities are those of per-seed
+    windows to the bit.  At k0 = 0 and 1/2 a +-1 model's amplitude is the integer
+    (2N + 1) - 2 * (the sites whose term is negative), counted on the base's sign mask
+    XOR the seed's flips shell by shell, so a seed reads its sites once; elsewhere each
+    N sums the centre of the terms base(n) e^{-2 pi i k0 n} times its signs (_flipped).
     """
     k = as_wavenumber(k0)
-    sizes = [int(N) for N in N_list]
+    sizes = [_check_count("window half-size N", N) for N in N_list]
     if not sizes:
         raise ValueError("N_list must be nonempty")
-    for N in sizes:
-        _check_count("window half-size N", N)
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("N_list must be strictly increasing")
     streams = ensemble(spec, seeds, 2 * sizes[-1] + 1)
-    top = sizes[-1]
-    _check_window_length(2 * top + 1)
+    _check_window_length(2 * sizes[-1] + 1)
     _check_work(len(streams), "streams", sum(2 * N + 1 for N in sizes), "work")
-    terms = np.exp(-2j * np.pi * k * np.arange(-top, top + 1))
-    terms *= generate_window(spec.coin_base or spec, -top, top).weights
-    intensities = []  # [stream][size]
-    for stream in streams:
-        with _flipped(terms, stream, -top):
-            amplitudes = [np.sum(terms[top - N : top + N + 1]) for N in sizes]
-        intensities.append([_intensity(a, 2 * N + 1) for N, a in zip(sizes, amplitudes)])
+    intensities = [  # [stream][size]
+        [_intensity(a, 2 * N + 1) for N, a in zip(sizes, amplitudes)]
+        for amplitudes in _amplitudes(spec, streams, sizes, k)
+    ]
     entries = [
         (N, float(np.mean([row[j] for row in intensities])) / (2 * N + 1))
         for j, N in enumerate(sizes)
@@ -187,6 +186,37 @@ def bragg_weight(spec: ModelSpec, k0, N_list, seeds=None) -> BraggWeightEstimate
         growth = "pure-point" if slope > -0.5 else "continuous"
     seed_list = tuple(stream.seed for stream in streams) if spec.is_stochastic else None
     return BraggWeightEstimate(k, entries, entries[-1][1], growth, slope, seed_list)
+
+
+def _amplitudes(spec: ModelSpec, streams, sizes: list[int], k: float):
+    """Per stream, its window's sums of w(n) e^{-2 pi i k n} over [-N, N] for each N of
+    sizes (bragg_weight): integers from sign counts at k = 0 and 1/2, else complex."""
+    top = sizes[-1]
+    base = spec.coin_base or spec
+    if spec.is_binary and k in (0.0, 0.5):
+        negatives = _sign_mask(base, -top, top)
+        if k:
+            negatives[(top + 1) % 2 :: 2] ^= True  # the odd sites, whose phase is -1
+        for stream in streams:
+            signs = negatives
+            if stream.coin_base is not None:
+                signs = _flips(stream, -top, negatives.size)
+                signs ^= negatives
+            lo = hi = top
+            count, amplitudes = 0, []
+            for N in sizes:
+                count += np.count_nonzero(signs[top - N : lo])
+                count += np.count_nonzero(signs[hi : top + N + 1])
+                lo, hi = top - N, top + N + 1
+                amplitudes.append(2 * N + 1 - 2 * count)
+            yield amplitudes
+        return
+    terms = np.exp(-2j * np.pi * k * np.arange(-top, top + 1))
+    terms *= generate_window(base, -top, top).weights
+    for stream in streams:
+        with _flipped(terms, stream, -top):
+            amplitudes = [np.sum(terms[top - N : top + N + 1]) for N in sizes]
+        yield amplitudes
 
 
 # ── Binned measure ─────────────────────────────────────────────────────────

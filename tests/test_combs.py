@@ -882,3 +882,39 @@ def test_every_count_is_refused_by_one_rule(monkeypatch, call, message):
     with pytest.raises(ValueError) as refused:
         call(monkeypatch)
     assert str(refused.value) == message
+
+
+# Every size or count argument given a value that is not an integer: a float, a bool, a str.
+NON_INTEGER_COUNTS = {
+    "empirical-N": (lambda: dc.empirical_autocorrelation(RS, 4.0, 4),
+                    "window half-size N must be an integer, got 4.0"),
+    "empirical-M": (lambda: dc.empirical_autocorrelation(RS, 4, True),
+                    "max lag M must be an integer, got True"),
+    "analytic-M": (lambda: dc.analytic_autocorrelation(RS, "4"), "max lag M must be an integer, got '4'"),
+    "verify-rs-max-index": (lambda: dc.verify_rs_recursions(8.0), "max_index must be an integer, got 8.0"),
+    "periodogram-N": (lambda: dc.periodogram(RS, 4.5, 8), "window half-size N must be an integer, got 4.5"),
+    "periodogram-G": (lambda: dc.periodogram(RS, 4, np.float64(8)),
+                      "grid size G must be an integer, got np.float64(8.0)"),
+    # a size is not truncated: 4.5 is refused, not read as 4
+    "bragg-N": (lambda: dc.bragg_weight(RS, 0, [4.5, 8]), "window half-size N must be an integer, got 4.5"),
+    "bragg-N-bool": (lambda: dc.bragg_weight(RS, 0, [True, 8]),
+                     "window half-size N must be an integer, got True"),
+    "bins": (lambda: dc.binned_measure(dc.periodogram(RS, 4, 8), 2.0), "bins must be an integer, got 2.0"),
+    "block-entropy-k": (lambda: dc.block_entropy(RS, 4096, "2"), "block length k must be an integer, got '2'"),
+    "patch-L-max": (lambda: dc.patch_complexity(RS, 4096, 2.0), "L_max must be an integer, got 2.0"),
+}
+
+
+@pytest.mark.parametrize("call,message", NON_INTEGER_COUNTS.values(), ids=NON_INTEGER_COUNTS)
+def test_every_non_integer_count_is_refused(call, message):
+    with pytest.raises(ValueError) as refused:
+        call()
+    assert str(refused.value) == message
+
+
+def test_numpy_integer_counts_are_accepted():
+    est = dc.bragg_weight(RS, 0, np.array([4, 8]))
+    assert est.entries == dc.bragg_weight(RS, 0, [4, 8]).entries
+    assert all(type(N) is int for N, _ in est.entries)
+    pg = dc.periodogram(RS, np.int64(4), np.int32(8))
+    assert np.array_equal(pg.intensities, dc.periodogram(RS, 4, 8).intensities)

@@ -3,9 +3,12 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import diffcomb as dc
 from test_combs import ALT, RS, catalogue
@@ -19,6 +22,11 @@ def direct_periodogram(window, grid_size):
         amp = np.sum(window.weights * np.exp(-2j * np.pi * (j / grid_size) * n))
         out[j] = abs(amp) ** 2 / len(window)
     return out
+
+
+COIN_RS = dc.ModelSpec.bernoullised(RS, 0.25, 1)
+PM1_CYCLES = st.lists(st.sampled_from([1.0, -1.0]), min_size=1, max_size=7).map(dc.ModelSpec.periodic)
+PROBABILITIES = st.sampled_from([0.0, 0.25, 0.5, 0.9, 1.0])
 
 
 def traced_peak(call):
@@ -163,13 +171,82 @@ class TestBraggWeight:
 
     @pytest.mark.parametrize("k0", ["1/2", "1/3"])
     def test_peak_memory_does_not_grow_with_the_seeds(self, k0):
-        """The ensemble keeps one base-times-phase vector and one seed's signs,
-        whatever the seed count: a coin ensemble of 50 seeds at N = 2**16 peaks at
-        5.0 window sizes of 2N + 1 float64 at either k0.  With one generated window
-        and phase product per seed it read 7.9 at k0 = 1/2 and 7.1 at 1/3."""
+        """The ensemble keeps one base (its terms, or at k0 = 1/2 its bool sign mask)
+        and one seed's signs, whatever the seed count: a coin ensemble of 50 seeds at
+        N = 2**16 peaks at 4.1 window sizes of 2N + 1 float64 at k0 = 1/3 and 1.3 at
+        1/2.  With one generated window and phase product per seed it read 7.9 at
+        k0 = 1/2 and 7.1 at 1/3."""
         spec = dc.ModelSpec.bernoullised(RS, 0.25, 1)
         peak = traced_peak(lambda: dc.bragg_weight(spec, k0, [2**12, 2**16], seeds=range(1, 51)))
         assert peak / ((2**17 + 1) * 8) < 8
+
+    @pytest.mark.parametrize("k0", [0, "1/2"])
+    def test_counted_peak_memory_is_below_three_windows(self, k0):
+        """At k0 = 0 and 1/2 a +-1 ensemble holds the base's bool sign mask and one
+        seed's flips, a byte a site each, and no complex terms: 50 seeds of a coin at
+        N = 2**16 peak at 1.3-1.4 float64 windows of 2N + 1, where the phase-vector
+        route read 4.1-4.4."""
+        spec = dc.ModelSpec.bernoullised(RS, 0.25, 1)
+        peak = traced_peak(lambda: dc.bragg_weight(spec, k0, [2**12, 2**16], seeds=range(1, 51)))
+        assert peak / ((2**17 + 1) * 8) < 3
+
+    @pytest.mark.parametrize("k0", [0, "1/2"])
+    @pytest.mark.parametrize("spec, seeds", [(RS, None), (COIN_RS, (4, 5, 6))])
+    def test_count_route_reads_each_site_once_per_stream(self, monkeypatch, spec, seeds, k0):
+        # however many sizes, the counts read each stream's 2 N_max + 1 signs once
+        read = []
+        count_nonzero = np.count_nonzero
+
+        def spy(values, *args, **kwargs):
+            read.append(np.size(values))
+            return count_nonzero(values, *args, **kwargs)
+
+        monkeypatch.setattr(np, "count_nonzero", spy)
+        streams = 1 if seeds is None else len(seeds)
+        for sizes in ([2048, 4096], list(range(64, 4097, 64))):
+            read.clear()
+            dc.bragg_weight(spec, k0, sizes, seeds)
+            assert sum(read) == streams * (2 * 4096 + 1), len(sizes)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        spec=st.one_of(
+            st.sampled_from([RS, ALT, dc.ModelSpec.constant(1.0), dc.ModelSpec.constant(-1.0)]),
+            PM1_CYCLES,
+            st.builds(dc.ModelSpec.bernoulli, p=PROBABILITIES, seed=st.just(1)),
+            st.builds(dc.ModelSpec.bernoullised, st.one_of(st.just(RS), PM1_CYCLES),
+                      p=PROBABILITIES, seed=st.just(1)),
+        ),
+        seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=3),
+        sizes=st.lists(st.integers(1, 200), min_size=1, max_size=5, unique=True).map(sorted),
+        k0=st.sampled_from([0, "1/2", 0.5]),
+    )
+    @example(spec=RS, seeds=[1], sizes=[1, 2, 3], k0="1/2")
+    @example(spec=COIN_RS, seeds=[7, 7, 2**64 - 1], sizes=[1, 64], k0=0)
+    def test_pm1_weights_match_integer_sums(self, spec, seeds, sizes, k0):
+        """Oracle in Python ints: the mean over seeds of (sum_{|n|<=N} w(n) (-1)**(2 k0 n))**2
+        over (2N + 1)**2, from each seed's generated window; and the growth it implies."""
+        if not spec.is_stochastic:
+            seeds = None
+        est = dc.bragg_weight(spec, k0, sizes, seeds)
+        streams = [spec] if seeds is None else [replace(spec, seed=s) for s in seeds]
+        half = dc.as_wavenumber(k0) == 0.5
+        weights = []
+        for N in sizes:
+            squares = 0
+            for stream in streams:
+                window = dc.generate_window(stream, -N, N)
+                signs = [-1 if half and n % 2 else 1 for n in range(-N, N + 1)]
+                squares += sum(int(w) * s for w, s in zip(window.weights, signs)) ** 2
+            weights.append(float(Fraction(squares, len(streams) * (2 * N + 1) ** 2)))
+        assert [N for N, _ in est.entries] == sizes
+        assert [w for _, w in est.entries] == pytest.approx(weights, rel=1e-13, abs=0)
+        if len(sizes) == 1:
+            assert (est.growth, est.growth_slope) == ("indeterminate", None)
+        else:
+            slope = float(np.polyfit(np.log([2 * N + 1 for N in sizes]), np.log(weights), 1)[0])
+            assert est.growth_slope == pytest.approx(slope, rel=1e-9, abs=1e-12)
+            assert est.growth == ("pure-point" if slope > -0.5 else "continuous")
 
     def test_oversized_window_refused_before_the_phase_vector(self):
         # an arange of 2**62 + 1 sites would fail with numpy's size error instead
